@@ -7,6 +7,12 @@ truncated to the top-k ids or the top-p probability mass (renormalized).
 Generation stops at the end-of-abstract token or the token budget. Once
 the sequence reaches the model's max length n, the decoder input slides to
 the most recent n-1 tokens.
+
+Each request decodes through its own ``DecodeCache``: the encoder runs once
+for the request's conditions, and while the window grows by one token per
+step only that token goes through the decoder, against the cached
+self-attention keys and values. After the window slides, every position
+shifts, so each later step recomputes the whole window.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .model import ModelParameters, forward
+from .model import DecodeCache, ModelParameters, forward
 from .tokenizer import END_ID, START_ID, TokenizerModel, decode, encode_viterbi
 from .vocab import ConditionVocab
 
@@ -105,6 +111,7 @@ def generate(params: ModelParameters, tok: TokenizerModel, cvocab: ConditionVoca
         raise DataError(f"prompt of {len(prompt)} tokens exceeds max sequence {cfg.max_seq}")
     condition_ids = cvocab.lookup(request.year, request.keywords)
     rng = np.random.default_rng(request.seed)
+    cache = DecodeCache()
 
     ids = list(prompt)
     probs: list[float] = []
@@ -112,7 +119,7 @@ def generate(params: ModelParameters, tok: TokenizerModel, cvocab: ConditionVoca
     for _ in range(request.max_tokens):
         window = ids if len(ids) < cfg.max_seq else ids[-(cfg.max_seq - 1):]
         out = forward(params, np.asarray(window, dtype=np.int64),
-                      np.asarray(condition_ids, dtype=np.int64), mode="eval")
+                      np.asarray(condition_ids, dtype=np.int64), mode="eval", cache=cache)
         next_id, p = sample_next(out.token_logits.data[-1], request.temperature, rng,
                                  request.top_k, request.top_p)
         ids.append(next_id)

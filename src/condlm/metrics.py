@@ -432,6 +432,18 @@ def _score_generation(row: Mapping, ref_sentences: list[str], df: DfCorpus) -> l
     return scores
 
 
+_WORKER_DF: DfCorpus | None = None  # set in ``evaluate``'s pool workers only
+
+
+def _init_worker(df: DfCorpus) -> None:
+    global _WORKER_DF
+    _WORKER_DF = df
+
+
+def _score_in_worker(row: Mapping, ref_sentences: list[str]) -> list[dict[str, float]]:
+    return _score_generation(row, ref_sentences, _WORKER_DF)
+
+
 def evaluate(generations: Iterable[Mapping], references: Mapping[str, list[str]],
              df: DfCorpus, workers: int = 1) -> dict:
     """Score every generated sentence against all sentences of its
@@ -440,14 +452,17 @@ def evaluate(generations: Iterable[Mapping], references: Mapping[str, list[str]]
     rows = list(generations)
     unmatched = [str(r.get("id")) for r in rows if r.get("id") not in references]
     scored_rows = [r for r in rows if r.get("id") in references]
-    jobs = [(r, references[r["id"]], df) for r in scored_rows]
+    jobs = [(r, references[r["id"]]) for r in scored_rows]
     if workers > 1 and len(jobs) > 1:
         import multiprocessing
 
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            per_row = pool.starmap(_score_generation, jobs)
+        # A forked worker gets its initializer's arguments through the fork,
+        # not by pickling, so each task carries only a row and its references.
+        with multiprocessing.get_context("fork").Pool(
+                workers, initializer=_init_worker, initargs=(df,)) as pool:
+            per_row = pool.starmap(_score_in_worker, jobs)
     else:
-        per_row = [_score_generation(*job) for job in jobs]
+        per_row = [_score_generation(row, refs, df) for row, refs in jobs]
 
     per_metric: dict[str, list[float]] = {name: [] for name in METRIC_RANGES}
     n_sentences = 0

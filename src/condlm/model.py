@@ -13,11 +13,16 @@ Blocks are post-norm: LayerNorm(sublayer(x) + x), with dropout on each
 sublayer output before the residual add and on both embedding streams.
 Attention/feed-forward projections carry no biases; LayerNorm provides the
 affine parameters.
+
+Decoding one token at a time can pass a ``DecodeCache`` to ``forward``: the
+encoder output and each decoder layer's self-attention keys and values are
+kept between calls, so a window that grows by one token only runs that
+token through the decoder.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -102,12 +107,13 @@ def init_parameters(config: ModelConfig, rng: np.random.Generator,
     return ModelParameters(config, tensors)
 
 
-def positional_encoding(n: int, d_model: int, dtype=ad.WIDE) -> np.ndarray:
-    """Sinusoidal table: sin on even channels, cos on odd, shared rate."""
-    pos = np.arange(n, dtype=np.float64)[:, None]
+def positional_encoding(n: int, d_model: int, dtype=ad.WIDE, start: int = 0) -> np.ndarray:
+    """Sinusoidal table for positions ``start``..n-1: sin on even channels,
+    cos on odd, shared rate."""
+    pos = np.arange(start, n, dtype=np.float64)[:, None]
     i = np.arange(d_model // 2, dtype=np.float64)[None, :]
     angle = pos / np.power(10000.0, 2.0 * i / d_model)
-    pe = np.zeros((n, d_model), dtype=np.float64)
+    pe = np.zeros((n - start, d_model), dtype=np.float64)
     pe[:, 0::2] = np.sin(angle)
     pe[:, 1::2] = np.cos(angle)
     return pe.astype(dtype)
@@ -124,12 +130,23 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -
 
 
 def multi_head(head_weights: list[tuple[Tensor, Tensor, Tensor]], out_weight: Tensor,
-               x: Tensor, y: Tensor, mask: np.ndarray | None = None) -> Tensor:
+               x: Tensor, y: Tensor, mask: np.ndarray | None = None,
+               kv: list[tuple[np.ndarray, np.ndarray]] | None = None) -> Tensor:
     """Concatenated per-head attentions, projected. Queries come from ``x``,
-    keys and values from ``y``."""
+    keys and values from ``y``. ``kv`` holds one (keys, values) pair per
+    head from earlier calls: the rows from ``y`` are appended to it, and
+    attention reads all of them. It carries no gradient."""
     outs = []
-    for wq, wk, wv in head_weights:
-        outs.append(attention(ad.matmul(x, wq), ad.matmul(y, wk), ad.matmul(y, wv), mask))
+    for h, (wq, wk, wv) in enumerate(head_weights):
+        k, v = ad.matmul(y, wk), ad.matmul(y, wv)
+        if kv is not None:
+            if h < len(kv):
+                kv[h] = (np.concatenate([kv[h][0], k.data], axis=-2),
+                         np.concatenate([kv[h][1], v.data], axis=-2))
+            else:
+                kv.append((k.data, v.data))
+            k, v = ad.constant(kv[h][0]), ad.constant(kv[h][1])
+        outs.append(attention(ad.matmul(x, wq), k, v, mask))
     return ad.matmul(ad.concat_lastdim(outs), out_weight)
 
 
@@ -162,10 +179,12 @@ def encoder_block(params: ModelParameters, index: int, x: Tensor,
 
 def decoder_block(params: ModelParameters, index: int, x: Tensor, enc_out: Tensor,
                   causal_mask: np.ndarray, cond_mask: np.ndarray | None,
-                  train: bool = False, rng=None) -> Tensor:
+                  train: bool = False, rng=None, kv: list | None = None) -> Tensor:
+    """``kv`` is this layer's self-attention cache (see ``multi_head``);
+    ``causal_mask`` then spans the cached positions too."""
     self_heads, self_w = _mh_params(params, f"dec{index}.self")
     b = _sublayer(params, f"dec{index}.ln1", x,
-                  multi_head(self_heads, self_w, x, x, causal_mask), train, rng)
+                  multi_head(self_heads, self_w, x, x, causal_mask, kv), train, rng)
     cross_heads, cross_w = _mh_params(params, f"dec{index}.cross")
     a = _sublayer(params, f"dec{index}.ln2", b,
                   multi_head(cross_heads, cross_w, b, enc_out, cond_mask), train, rng)
@@ -180,6 +199,19 @@ def causal_mask(t: int, dtype=np.float64) -> np.ndarray:
 
 
 @dataclass
+class DecodeCache:
+    """Per-request decoding state for ``forward``, valid for one parameter
+    set: the canonical condition ids and key mask with the encoder output
+    they gave, and the token window whose per-layer, per-head
+    self-attention keys and values are held in ``kv``."""
+    conditions: np.ndarray | None = None
+    key_mask: np.ndarray | None = None
+    enc_out: Tensor | None = None
+    window: np.ndarray | None = None
+    kv: list[list[tuple[np.ndarray, np.ndarray]]] = field(default_factory=list)
+
+
+@dataclass
 class ForwardOutput:
     token_logits: Tensor
     pos_logits: Tensor
@@ -189,10 +221,17 @@ class ForwardOutput:
 
 def forward(params: ModelParameters, input_ids, condition_ids,
             mode: str = "eval", rng: np.random.Generator | None = None,
-            condition_mask: np.ndarray | None = None) -> ForwardOutput:
+            condition_mask: np.ndarray | None = None,
+            cache: DecodeCache | None = None) -> ForwardOutput:
     """Run the model. 1-d id arrays give 2-d logits (positions, vocab);
     batched 2-d inputs give 3-d logits and need ``condition_mask`` when
-    condition rows are padded."""
+    condition rows are padded.
+
+    ``cache`` is for decoding one sequence in eval mode: the encoder runs
+    only when the canonical conditions differ from the cached ones, a
+    window equal to the cached window plus one token runs only that token
+    through the decoder, any other window is recomputed whole and refills
+    the cache, and the logits cover the last position only (one row)."""
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     train = mode == "train"
@@ -203,6 +242,8 @@ def forward(params: ModelParameters, input_ids, condition_ids,
 
     input_ids = np.asarray(input_ids, dtype=np.int64)
     condition_ids = np.asarray(condition_ids, dtype=np.int64)
+    if cache is not None and (train or input_ids.ndim != 1):
+        raise ValueError("a decode cache needs one 1-d sequence in eval mode")
     single = input_ids.ndim == 1
     if single:
         input_ids = input_ids[None, :]
@@ -225,20 +266,41 @@ def forward(params: ModelParameters, input_ids, condition_ids,
     condition_ids = np.concatenate([null_col, condition_ids], axis=1)
     condition_mask = np.concatenate([np.ones((b, 1)), condition_mask], axis=1)
 
-    # Encoder stream: condition embeddings only, no positional signal.
-    enc = ad.dropout(ad.embedding_gather(params["cond_emb"], condition_ids),
-                     cfg.dropout, rng, training=train)
     key_mask = np.where(condition_mask[:, None, :] > 0, 0.0, NEG_INF)
-    for i in range(cfg.encoder_blocks):
-        enc = encoder_block(params, i, enc, key_mask, train, rng)
+    if cache is not None and np.array_equal(cache.conditions, condition_ids) \
+            and np.array_equal(cache.key_mask, key_mask):
+        enc = cache.enc_out
+    else:
+        # Encoder stream: condition embeddings only, no positional signal.
+        enc = ad.dropout(ad.embedding_gather(params["cond_emb"], condition_ids),
+                         cfg.dropout, rng, training=train)
+        for i in range(cfg.encoder_blocks):
+            enc = encoder_block(params, i, enc, key_mask, train, rng)
+        if cache is not None:
+            enc = ad.constant(enc.data)
+            cache.conditions, cache.key_mask, cache.enc_out = condition_ids, key_mask, enc
+            cache.window = None
 
-    # Decoder stream: token embeddings plus positional encoding.
-    pe = positional_encoding(t, cfg.d_model, dtype)
-    dec = ad.add(ad.embedding_gather(params["tok_emb"], input_ids), ad.constant(pe))
+    # Decoder stream: token embeddings plus positional encoding. With a
+    # cache, rows before ``start`` are already in every layer's keys/values.
+    start = 0
+    kv = [None] * cfg.decoder_blocks
+    if cache is not None:
+        window = input_ids[0]
+        known = cache.window
+        if known is not None and t == len(known) + 1 and np.array_equal(window[:-1], known):
+            start = t - 1
+        else:
+            cache.kv = [[] for _ in range(cfg.decoder_blocks)]
+        cache.window, kv = window.copy(), cache.kv
+    pe = positional_encoding(t, cfg.d_model, dtype, start)
+    dec = ad.add(ad.embedding_gather(params["tok_emb"], input_ids[:, start:]), ad.constant(pe))
     dec = ad.dropout(dec, cfg.dropout, rng, training=train)
-    cmask = causal_mask(t)
+    cmask = causal_mask(t)[start:]
     for i in range(cfg.decoder_blocks):
-        dec = decoder_block(params, i, dec, enc, cmask, key_mask, train, rng)
+        dec = decoder_block(params, i, dec, enc, cmask, key_mask, train, rng, kv[i])
+    if cache is not None:
+        dec = ad.constant(dec.data[:, -1:])
 
     def head(name: str) -> Tensor:
         logits = ad.matmul(dec, params[f"head.{name}"])

@@ -75,7 +75,7 @@ def _arcs(word: str, pieces: dict[str, float], max_len: int | None = None):
     """
     n = len(word)
     if max_len is None:
-        max_len = max((len(p) for p in pieces), default=1)
+        max_len = n  # no longer piece can match inside the word
     arcs = []
     covered_from = [False] * n
     for i in range(n):

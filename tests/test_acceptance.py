@@ -1,4 +1,5 @@
-"""Acceptance suite: one test per numbered criterion.
+"""Acceptance suite: one test per numbered criterion, plus a check that
+cached greedy decoding of the memorized model equals full recompute.
 
 Each test prints a single ``[PASS]/[FAIL] criterion NN`` line with the
 measured value next to its stated tolerance, asserts the bound, and the
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 from condlm import autodiff as ad
+from condlm import generator
 from condlm import metrics as mt
 from condlm import tokenizer as tk
 from condlm import trainer as tr
@@ -163,6 +165,20 @@ def test_criterion_04_memorization(memorized, toy_records, toy_tok, toy_cvocab):
            f"token loss {token_loss:.4f} (< 0.2) after {len(history)} LAMB steps "
            f"(<= 2000); greedy decode reproduces {verbatim}/8 abstracts verbatim "
            f"(>= 1); {elapsed:.1f}s (< 900s)")
+
+
+def test_memorized_greedy_decode_matches_full_recompute(memorized, toy_records, toy_tok,
+                                                       toy_cvocab, monkeypatch):
+    # cached decoding against a forward pass over the whole window at every
+    # step; 48 tokens run past the 32-token window, so the slide is covered
+    params, _, _ = memorized
+    reqs = [GenerationRequest(title=r.title_text(), year=r.year, keywords=tuple(r.keywords),
+                              max_tokens=48, temperature=0.0, seed=0) for r in toy_records]
+    cached = [generate(params, toy_tok, toy_cvocab, req).token_ids for req in reqs]
+    monkeypatch.setattr(generator, "forward",
+                        lambda *args, cache=None, **kwargs: forward(*args, **kwargs))
+    full = [generate(params, toy_tok, toy_cvocab, req).token_ids for req in reqs]
+    assert cached == full
 
 
 # --- criterion 5: initial-loss sanity ----------------------------------------------

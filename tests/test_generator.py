@@ -3,6 +3,7 @@ import pytest
 
 from condlm import autodiff as ad
 from condlm import generator as gn
+from condlm import model as md
 from condlm.config import ModelConfig
 from condlm.errors import DataError
 from condlm.model import init_parameters
@@ -215,3 +216,37 @@ def test_generate_sentences_come_from_continuation_only():
                       gn.GenerationRequest("w0 w1", 1990, max_tokens=12, seed=2))
     for s in out.sentences:
         assert s in out.generated_text
+
+
+def uncached_forward(*args, cache=None, **kwargs):
+    return md.forward(*args, **kwargs)
+
+
+def test_generate_calls_forward_once_per_token_with_the_window(monkeypatch):
+    params, tok, cvocab = gen_setup(max_seq=6)
+    windows = []
+
+    def counting_forward(params, window, *args, **kwargs):
+        windows.append(list(window))
+        return md.forward(params, window, *args, **kwargs)
+
+    monkeypatch.setattr(gn, "forward", counting_forward)
+    out = gn.generate(params, tok, cvocab,
+                      gn.GenerationRequest("w0 w1", 1990, max_tokens=20, seed=4))
+    n = params.config.max_seq
+    ends = range(out.prompt_len, len(out.token_ids))
+    assert windows == [out.token_ids[:e] if e < n else out.token_ids[e - (n - 1):e]
+                       for e in ends]
+    assert len(windows) == 20
+
+
+@pytest.mark.parametrize("temperature,seed", [(0.0, 0), (1.0, 4), (0.8, 7)])
+def test_generate_matches_full_recompute(monkeypatch, temperature, seed):
+    params, tok, cvocab = gen_setup(max_seq=6, seed=seed)
+    req = gn.GenerationRequest("w0 w1", 1991, keywords=("kw",), max_tokens=15,
+                               temperature=temperature, seed=seed)
+    cached = gn.generate(params, tok, cvocab, req)
+    monkeypatch.setattr(gn, "forward", uncached_forward)
+    full = gn.generate(params, tok, cvocab, req)
+    assert cached.token_ids == full.token_ids
+    np.testing.assert_allclose(cached.step_probs, full.step_probs, rtol=1e-9)

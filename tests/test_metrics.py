@@ -315,10 +315,21 @@ def test_evaluate_report_shape_and_perfect_copies(small_df):
     assert report["metrics"]["bleu_1"]["histogram"]["masses"][-1] == pytest.approx(1.0)
 
 
+class UnpicklableDf(mt.DfCorpus):
+    def __reduce__(self):
+        raise AssertionError("the df reached a pool task")
+
+
 def test_evaluate_parallel_matches_serial(small_df):
     gen, refs = sample_rows()
-    serial = mt.evaluate(gen, refs, small_df, workers=1)
-    parallel = mt.evaluate(gen, refs, small_df, workers=2)
+    # a second matched row, so the pool has two tasks and starts
+    gen.append({"id": "g2", "title": "strong cell",
+                "sentences": ["the cell was strong.", "probe results."]})
+    refs["g2"] = ["results were strong in the cell.", "the probe binds."]
+    df = UnpicklableDf(small_df.doc_count, small_df.df)
+    serial = mt.evaluate(gen, refs, df, workers=1)
+    parallel = mt.evaluate(gen, refs, df, workers=2)
+    assert serial["documents"] == 2
     assert serial == parallel
 
 

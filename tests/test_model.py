@@ -50,6 +50,8 @@ def test_positional_encoding_values():
     # channel pair k shares the rate 10000^(2k/d)
     np.testing.assert_allclose(pe[2, 2], math.sin(2.0 / 10000 ** (2 / 8)), atol=1e-12)
     assert positional_encoding(4, 6, dtype=np.float32).dtype == np.float32
+    np.testing.assert_array_equal(positional_encoding(9, 8, start=6),
+                                  positional_encoding(9, 8)[6:])
 
 
 def test_positional_encoding_rows_distinct():
@@ -308,3 +310,83 @@ def test_whole_model_gradient_quick(tiny_cfg, tiny_params):
     res = ad.finite_diff_check(f, dict(tiny_params.items()), max_coords=60,
                                rng=np.random.default_rng(12))
     assert res.max_rel_error < 1e-4, (res.worst_param, res.worst_index)
+
+
+# --- cached decoding ----------------------------------------------------------------
+
+HEADS = ("token_logits", "pos_logits", "dep_logits", "ent_logits")
+
+
+def decode_params(seed, blocks):
+    cfg = ModelConfig(d_model=16, heads=2, encoder_blocks=blocks, decoder_blocks=blocks,
+                      ff_size=32, dropout=0.0, max_seq=6, token_vocab=11, pos_vocab=3,
+                      dep_vocab=4, ent_vocab=5, cond_vocab=5)
+    return make_params(cfg, seed)
+
+
+def assert_last_row_matches(cached, full, atol):
+    for name in HEADS:
+        got, want = getattr(cached, name).data, getattr(full, name).data
+        assert got.shape == (1, want.shape[-1])
+        np.testing.assert_allclose(got[0], want[-1], rtol=0, atol=atol)
+
+
+@pytest.mark.parametrize("seed,blocks", [(0, 1), (1, 2), (2, 1), (3, 2)])
+def test_cached_forward_matches_full_every_step(monkeypatch, seed, blocks):
+    params = decode_params(seed, blocks)
+    n = params.config.max_seq
+    rng = np.random.default_rng(seed)
+    ids = rng.integers(0, params.config.token_vocab, size=3 * n)
+    conds = rng.integers(0, params.config.cond_vocab, size=2)
+    encoded, decoded_rows = [], []
+    enc_block, dec_block = md.encoder_block, md.decoder_block
+
+    def counting_encoder(*args, **kwargs):
+        encoded.append(1)
+        return enc_block(*args, **kwargs)
+
+    def counting_decoder(params, index, x, *args, **kwargs):
+        if index == 0:
+            decoded_rows.append(x.data.shape[-2])
+        return dec_block(params, index, x, *args, **kwargs)
+
+    cache = md.DecodeCache()
+    for end in range(1, len(ids) + 1):
+        window = ids[:end] if end < n else ids[end - (n - 1):end]
+        monkeypatch.setattr(md, "encoder_block", counting_encoder)
+        monkeypatch.setattr(md, "decoder_block", counting_decoder)
+        cached = forward(params, window, conds, cache=cache)
+        monkeypatch.undo()
+        assert_last_row_matches(cached, forward(params, window, conds), atol=1e-6)
+    # the encoder ran once; the growing window went one row at a time, and
+    # every window after the slide was recomputed whole
+    assert len(encoded) == blocks
+    assert decoded_rows == [1] * (n - 1) + [n - 1] * (len(ids) - n + 1)
+
+
+def test_cache_rebuilds_on_new_conditions_or_other_window():
+    params = decode_params(5, 2)
+    cache = md.DecodeCache()
+    forward(params, np.array([1, 2, 3]), np.array([0, 2]), cache=cache)
+    steps = [([1, 2, 3, 4], [2, 0]),        # same condition set, reordered
+             ([1, 2, 3, 4, 5], [4]),        # window extends, conditions changed
+             ([1, 2, 3, 4, 6], [4]),        # same length, other last token
+             ([9, 2, 3, 4, 6, 7], [4]),     # one longer, other first token
+             ([1, 2], [4]),                 # shorter
+             ([1, 2, 3, 4], [4])]           # two longer
+    for window, conds in steps:
+        window, conds = np.array(window), np.array(conds)
+        cached = forward(params, window, conds, cache=cache)
+        assert_last_row_matches(cached, forward(params, window, conds), atol=1e-12)
+        fresh = forward(params, window, conds, cache=md.DecodeCache())
+        np.testing.assert_allclose(cached.token_logits.data, fresh.token_logits.data,
+                                   rtol=0, atol=1e-12)
+
+
+def test_cache_needs_one_sequence_in_eval(tiny_cfg, tiny_params):
+    with pytest.raises(ValueError, match="decode cache"):
+        forward(tiny_params, np.array([1, 2]), np.array([0]), mode="train",
+                rng=np.random.default_rng(0), cache=md.DecodeCache())
+    with pytest.raises(ValueError, match="decode cache"):
+        forward(tiny_params, np.array([[1, 2], [3, 4]]), np.array([[0], [1]]),
+                cache=md.DecodeCache())

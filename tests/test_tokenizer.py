@@ -220,6 +220,18 @@ def test_roundtrip_normalizes_case_and_whitespace():
     assert tk.decode(model, tk.encode_viterbi(model, "  AB   a\tB ")) == "ab a b"
 
 
+def test_arcs_default_bound_matches_longest_piece_bound():
+    # pieces longer than the word can never match inside it, so bounding
+    # arcs by the word's length gives the same lattice
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        inventory = {"".join(rng.choice(list("ab▁"), size=rng.integers(1, 9))): -1.0
+                     for _ in range(rng.integers(1, 25))}
+        word = tk.MARKER + "".join(rng.choice(list("ab"), size=rng.integers(0, 8)))
+        longest = max(len(p) for p in inventory)
+        assert tk._arcs(word, inventory) == tk._arcs(word, inventory, longest)
+
+
 # --- save / load ---------------------------------------------------------------
 
 def test_save_load_roundtrip(tmp_path, toy_tok):
