@@ -172,26 +172,44 @@ def swap_last2(a) -> Tensor:
     return _node(out_data, (a,), bw)
 
 
-def concat_lastdim(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate along the last axis (head merge)."""
-    parts = [_as_tensor(p) for p in parts]
-    if not parts:
-        raise ValueError("concat_lastdim needs at least one part")
-    lead = parts[0].data.shape[:-1]
-    for p in parts:
-        if p.data.shape[:-1] != lead:
-            raise ValueError(f"concat_lastdim leading-shape mismatch: {p.data.shape} vs {parts[0].data.shape}")
-    out_data = np.concatenate([p.data for p in parts], axis=-1)
-    widths = [p.data.shape[-1] for p in parts]
+def split_heads(a, heads: int) -> Tensor:
+    """(..., T, heads * w) -> (..., heads, T, w): one reshape and one
+    transpose, returned as a view. ``merge_heads`` is its inverse."""
+    a = _as_tensor(a)
+    d = a.data.shape[-1]
+    if a.data.ndim < 2 or heads < 1 or d % heads:
+        raise ValueError(f"split_heads: shape {a.data.shape} does not split into {heads} heads")
 
     def bw(g):
-        offset = 0
-        for p, w in zip(parts, widths):
-            if p.requires_grad:
-                p.accumulate(g[..., offset:offset + w])
-            offset += w
+        if a.requires_grad:
+            a.accumulate(_merge(g))
 
-    return _node(out_data, tuple(parts), bw)
+    return _node(_split(a.data, heads), (a,), bw)
+
+
+def merge_heads(a) -> Tensor:
+    """(..., heads, T, w) -> (..., T, heads * w), the inverse of
+    ``split_heads``."""
+    a = _as_tensor(a)
+    if a.data.ndim < 3:
+        raise ValueError(f"merge_heads needs a (..., heads, T, w) operand, got {a.data.shape}")
+    heads = a.data.shape[-3]
+
+    def bw(g):
+        if a.requires_grad:
+            a.accumulate(_split(g, heads))
+
+    return _node(_merge(a.data), (a,), bw)
+
+
+def _split(x: np.ndarray, heads: int) -> np.ndarray:
+    *lead, t, d = x.shape
+    return x.reshape(*lead, t, heads, d // heads).swapaxes(-2, -3)
+
+
+def _merge(x: np.ndarray) -> np.ndarray:
+    *lead, h, t, w = x.shape
+    return x.swapaxes(-2, -3).reshape(*lead, t, h * w)
 
 
 def relu(a) -> Tensor:

@@ -14,10 +14,14 @@ sublayer output before the residual add and on both embedding streams.
 Attention/feed-forward projections carry no biases; LayerNorm provides the
 affine parameters.
 
-Decoding one token at a time can pass a ``DecodeCache`` to ``forward``: the
-encoder output and each decoder layer's self-attention keys and values are
-kept between calls, so a window that grows by one token only runs that
-token through the decoder.
+Attention computes all heads at once from fused (d, d) query, key and
+value projections, split into heads by one reshape and transpose.
+
+Decoding one token at a time can pass a ``DecodeCache`` to ``forward``. It
+builds no autodiff graph, and keeps the encoder output, each decoder
+layer's cross-attention keys and values, and each decoder layer's
+self-attention keys and values between calls, so a window that grows by
+one token only runs that token through the decoder.
 """
 
 from __future__ import annotations
@@ -55,65 +59,78 @@ class ModelParameters:
         return self["tok_emb"].data.dtype
 
 
-def _attn_names(prefix: str, heads: int):
-    for h in range(heads):
-        yield f"{prefix}.q{h}"
-        yield f"{prefix}.k{h}"
-        yield f"{prefix}.v{h}"
-    yield f"{prefix}.out"
-
-
-def init_parameters(config: ModelConfig, rng: np.random.Generator,
-                    dtype=ad.WIDE) -> ModelParameters:
-    """Scaled-normal init (std 0.02) for projections and embeddings;
-    LayerNorm gains start at 1 and biases at 0."""
-    config.validate()
-    d, hd, ff = config.d_model, config.head_dim, config.ff_size
-
-    tensors: dict[str, Tensor] = {}
-
-    def norm(name: str, shape):
-        tensors[name] = ad.parameter(rng.normal(0.0, INIT_STD, shape).astype(dtype))
-
-    def ln(prefix: str):
-        tensors[f"{prefix}.gain"] = ad.parameter(np.ones(d, dtype=dtype))
-        tensors[f"{prefix}.bias"] = ad.parameter(np.zeros(d, dtype=dtype))
+def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter's name and shape, in init and checkpoint order. Each
+    attention block holds fused (d, d) ``q``/``k``/``v`` projections, head
+    h in columns h*head_dim .. (h+1)*head_dim, and its output ``out``."""
+    d, ff = config.d_model, config.ff_size
+    shapes: dict[str, tuple[int, ...]] = {}
 
     def attn(prefix: str):
-        for name in _attn_names(prefix, config.heads):
-            norm(name, (d, d) if name.endswith(".out") else (d, hd))
+        for part in ("q", "k", "v", "out"):
+            shapes[f"{prefix}.{part}"] = (d, d)
 
-    norm("tok_emb", (config.token_vocab, d))
+    def ln(prefix: str):
+        shapes[f"{prefix}.gain"] = shapes[f"{prefix}.bias"] = (d,)
+
+    shapes["tok_emb"] = (config.token_vocab, d)
     # One extra row: the learned null condition, always present.
-    norm("cond_emb", (config.cond_vocab + 1, d))
+    shapes["cond_emb"] = (config.cond_vocab + 1, d)
     for i in range(config.encoder_blocks):
         attn(f"enc{i}.self")
         ln(f"enc{i}.ln1")
-        norm(f"enc{i}.ff.w1", (d, ff))
-        norm(f"enc{i}.ff.w2", (ff, d))
+        shapes[f"enc{i}.ff.w1"], shapes[f"enc{i}.ff.w2"] = (d, ff), (ff, d)
         ln(f"enc{i}.ln2")
     for i in range(config.decoder_blocks):
         attn(f"dec{i}.self")
         ln(f"dec{i}.ln1")
         attn(f"dec{i}.cross")
         ln(f"dec{i}.ln2")
-        norm(f"dec{i}.ff.w1", (d, ff))
-        norm(f"dec{i}.ff.w2", (ff, d))
+        shapes[f"dec{i}.ff.w1"], shapes[f"dec{i}.ff.w2"] = (d, ff), (ff, d)
         ln(f"dec{i}.ln3")
-    norm("head.token", (d, config.token_vocab))
-    norm("head.pos", (d, config.pos_vocab))
-    norm("head.dep", (d, config.dep_vocab))
-    norm("head.ent", (d, config.ent_vocab))
+    for head, size in (("token", config.token_vocab), ("pos", config.pos_vocab),
+                       ("dep", config.dep_vocab), ("ent", config.ent_vocab)):
+        shapes[f"head.{head}"] = (d, size)
+    return shapes
+
+
+def init_parameters(config: ModelConfig, rng: np.random.Generator,
+                    dtype=ad.WIDE) -> ModelParameters:
+    """Scaled-normal init (std 0.02) for projections and embeddings;
+    LayerNorm gains start at 1 and biases at 0. Attention projections are
+    drawn head by head (q, k, v of head 0, then of head 1, ...) and
+    concatenated into the fused tensors."""
+    config.validate()
+    hd = config.head_dim
+
+    def draw(shape) -> np.ndarray:
+        return rng.normal(0.0, INIT_STD, shape).astype(dtype)
+
+    tensors: dict[str, Tensor] = {}
+    for name, shape in parameter_shapes(config).items():
+        prefix, _, part = name.rpartition(".")
+        if part == "gain":
+            tensors[name] = ad.parameter(np.ones(shape, dtype=dtype))
+        elif part == "bias":
+            tensors[name] = ad.parameter(np.zeros(shape, dtype=dtype))
+        elif part == "q":
+            heads = [[draw((shape[0], hd)) for _ in "qkv"] for _ in range(config.heads)]
+            for j, fused in enumerate("qkv"):
+                tensors[f"{prefix}.{fused}"] = ad.parameter(
+                    np.concatenate([h[j] for h in heads], axis=1))
+        elif part not in ("k", "v"):
+            tensors[name] = ad.parameter(draw(shape))
     return ModelParameters(config, tensors)
 
 
-def positional_encoding(n: int, d_model: int, dtype=ad.WIDE, start: int = 0) -> np.ndarray:
-    """Sinusoidal table for positions ``start``..n-1: sin on even channels,
-    cos on odd, shared rate."""
-    pos = np.arange(start, n, dtype=np.float64)[:, None]
+def positional_encoding(n: int, d_model: int, dtype=ad.WIDE) -> np.ndarray:
+    """Sinusoidal table for positions 0..n-1: sin on even channels, cos on
+    odd, shared rate. Each row depends on its position only, so a longer
+    table starts with the shorter one."""
+    pos = np.arange(n, dtype=np.float64)[:, None]
     i = np.arange(d_model // 2, dtype=np.float64)[None, :]
     angle = pos / np.power(10000.0, 2.0 * i / d_model)
-    pe = np.zeros((n - start, d_model), dtype=np.float64)
+    pe = np.zeros((n, d_model), dtype=np.float64)
     pe[:, 0::2] = np.sin(angle)
     pe[:, 1::2] = np.cos(angle)
     return pe.astype(dtype)
@@ -129,32 +146,44 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -
     return ad.matmul(ad.softmax_lastdim(scores), v)
 
 
-def multi_head(head_weights: list[tuple[Tensor, Tensor, Tensor]], out_weight: Tensor,
-               x: Tensor, y: Tensor, mask: np.ndarray | None = None,
-               kv: list[tuple[np.ndarray, np.ndarray]] | None = None) -> Tensor:
-    """Concatenated per-head attentions, projected. Queries come from ``x``,
-    keys and values from ``y``. ``kv`` holds one (keys, values) pair per
-    head from earlier calls: the rows from ``y`` are appended to it, and
-    attention reads all of them. It carries no gradient."""
-    outs = []
-    for h, (wq, wk, wv) in enumerate(head_weights):
-        k, v = ad.matmul(y, wk), ad.matmul(y, wv)
+@dataclass
+class KVCache:
+    """One attention layer's keys and values, kept between decode calls in
+    split-head layout (1, heads, rows, head_dim). A self-attention cache
+    grows: each call appends the rows it projects. A cross-attention cache
+    is filled by its first call and read unchanged after that."""
+    grows: bool
+    k: np.ndarray | None = None
+    v: np.ndarray | None = None
+
+
+def multi_head(params: ModelParameters, prefix: str, x: Tensor, y: Tensor,
+               mask: np.ndarray | None = None, kv: KVCache | None = None,
+               last_row: bool = False) -> Tensor:
+    """All heads of one attention block at once, projected by ``out``.
+    Queries come from ``x``, keys and values from ``y``; self-attention
+    passes the same tensor for both. With ``kv`` (decoding, no gradient),
+    keys and values come from the cache as ``KVCache`` describes.
+    ``last_row`` takes queries from the last row of ``x`` only; like the
+    cache, it is for decoding and passes no gradient to ``x``."""
+    heads = params.config.heads
+    if kv is not None and not kv.grows and kv.k is not None:
+        k, v = ad.constant(kv.k), ad.constant(kv.v)
+    else:
+        k = ad.split_heads(ad.matmul(y, params[f"{prefix}.k"]), heads)
+        v = ad.split_heads(ad.matmul(y, params[f"{prefix}.v"]), heads)
         if kv is not None:
-            if h < len(kv):
-                kv[h] = (np.concatenate([kv[h][0], k.data], axis=-2),
-                         np.concatenate([kv[h][1], v.data], axis=-2))
+            if kv.k is not None:
+                kv.k = np.concatenate([kv.k, k.data], axis=-2)
+                kv.v = np.concatenate([kv.v, v.data], axis=-2)
             else:
-                kv.append((k.data, v.data))
-            k, v = ad.constant(kv[h][0]), ad.constant(kv[h][1])
-        outs.append(attention(ad.matmul(x, wq), k, v, mask))
-    return ad.matmul(ad.concat_lastdim(outs), out_weight)
-
-
-def _mh_params(params: ModelParameters, prefix: str):
-    cfg = params.config
-    heads = [(params[f"{prefix}.q{h}"], params[f"{prefix}.k{h}"], params[f"{prefix}.v{h}"])
-             for h in range(cfg.heads)]
-    return heads, params[f"{prefix}.out"]
+                kv.k, kv.v = k.data, v.data
+            k, v = ad.constant(kv.k), ad.constant(kv.v)
+    if last_row:
+        x = ad.constant(x.data[..., -1:, :])
+        mask = None if mask is None else mask[..., -1:, :]
+    q = ad.split_heads(ad.matmul(x, params[f"{prefix}.q"]), heads)
+    return ad.matmul(ad.merge_heads(attention(q, k, v, mask)), params[f"{prefix}.out"])
 
 
 def feed_forward(params: ModelParameters, prefix: str, x: Tensor) -> Tensor:
@@ -170,45 +199,64 @@ def _sublayer(params: ModelParameters, ln_prefix: str, residual: Tensor, out: Te
 
 def encoder_block(params: ModelParameters, index: int, x: Tensor,
                   key_mask: np.ndarray | None, train: bool = False, rng=None) -> Tensor:
-    heads, out_w = _mh_params(params, f"enc{index}.self")
     a = _sublayer(params, f"enc{index}.ln1", x,
-                  multi_head(heads, out_w, x, x, key_mask), train, rng)
+                  multi_head(params, f"enc{index}.self", x, x, key_mask), train, rng)
     return _sublayer(params, f"enc{index}.ln2", a,
                      feed_forward(params, f"enc{index}.ff", a), train, rng)
 
 
 def decoder_block(params: ModelParameters, index: int, x: Tensor, enc_out: Tensor,
                   causal_mask: np.ndarray, cond_mask: np.ndarray | None,
-                  train: bool = False, rng=None, kv: list | None = None) -> Tensor:
-    """``kv`` is this layer's self-attention cache (see ``multi_head``);
-    ``causal_mask`` then spans the cached positions too."""
-    self_heads, self_w = _mh_params(params, f"dec{index}.self")
-    b = _sublayer(params, f"dec{index}.ln1", x,
-                  multi_head(self_heads, self_w, x, x, causal_mask, kv), train, rng)
-    cross_heads, cross_w = _mh_params(params, f"dec{index}.cross")
+                  train: bool = False, rng=None,
+                  kv: tuple[KVCache, KVCache] | None = None,
+                  last_row: bool = False) -> Tensor:
+    """``kv`` holds this layer's self- and cross-attention caches (see
+    ``multi_head``); ``causal_mask`` then spans the cached positions too.
+    ``last_row`` (decoding only) gives the block's output for the last row
+    of ``x``: every row still feeds the self-attention keys and values."""
+    self_kv, cross_kv = kv if kv is not None else (None, None)
+    residual = ad.constant(x.data[..., -1:, :]) if last_row else x
+    b = _sublayer(params, f"dec{index}.ln1", residual,
+                  multi_head(params, f"dec{index}.self", x, x, causal_mask, self_kv, last_row),
+                  train, rng)
     a = _sublayer(params, f"dec{index}.ln2", b,
-                  multi_head(cross_heads, cross_w, b, enc_out, cond_mask), train, rng)
+                  multi_head(params, f"dec{index}.cross", b, enc_out, cond_mask, cross_kv),
+                  train, rng)
     return _sublayer(params, f"dec{index}.ln3", a,
                      feed_forward(params, f"dec{index}.ff", a), train, rng)
 
 
 def causal_mask(t: int, dtype=np.float64) -> np.ndarray:
-    mask = np.zeros((t, t), dtype=dtype)
-    mask[np.triu_indices(t, k=1)] = NEG_INF
-    return mask
+    return np.triu(np.full((t, t), NEG_INF, dtype=dtype), 1)
 
 
 @dataclass
 class DecodeCache:
-    """Per-request decoding state for ``forward``, valid for one parameter
-    set: the canonical condition ids and key mask with the encoder output
-    they gave, and the token window whose per-layer, per-head
-    self-attention keys and values are held in ``kv``."""
+    """Per-request decoding state for ``forward``. ``bind`` ties it to one
+    parameter set and holds constant views of its tensors, so a cached
+    forward builds no autodiff graph. It keeps the canonical condition ids
+    and key mask with the encoder output they gave, each decoder layer's
+    cross-attention keys and values from that output, and the token window
+    whose self-attention keys and values are cached."""
+    source: ModelParameters | None = None
+    params: ModelParameters | None = None
+    pe: np.ndarray | None = None
     conditions: np.ndarray | None = None
     key_mask: np.ndarray | None = None
     enc_out: Tensor | None = None
     window: np.ndarray | None = None
-    kv: list[list[tuple[np.ndarray, np.ndarray]]] = field(default_factory=list)
+    self_kv: list[KVCache] = field(default_factory=list)
+    cross_kv: list[KVCache] = field(default_factory=list)
+
+    def bind(self, params: ModelParameters) -> ModelParameters:
+        """The constant views of ``params``; binding other parameters than
+        last time drops everything cached."""
+        if self.source is not params:
+            cfg = params.config
+            views = {name: ad.constant(t.data) for name, t in params.items()}
+            self.__init__(source=params, params=ModelParameters(cfg, views),
+                          pe=positional_encoding(cfg.max_seq, cfg.d_model, params.dtype))
+        return self.params
 
 
 @dataclass
@@ -231,7 +279,8 @@ def forward(params: ModelParameters, input_ids, condition_ids,
     only when the canonical conditions differ from the cached ones, a
     window equal to the cached window plus one token runs only that token
     through the decoder, any other window is recomputed whole and refills
-    the cache, and the logits cover the last position only (one row)."""
+    the cache, the last decoder block computes the last row only, and the
+    logits cover that row. No autodiff graph is built."""
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     train = mode == "train"
@@ -239,6 +288,8 @@ def forward(params: ModelParameters, input_ids, condition_ids,
     if train and cfg.dropout > 0 and rng is None:
         raise ValueError("training mode with dropout needs an rng")
     dtype = params.dtype
+    if cache is not None:
+        params = cache.bind(params)
 
     input_ids = np.asarray(input_ids, dtype=np.int64)
     condition_ids = np.asarray(condition_ids, dtype=np.int64)
@@ -266,7 +317,7 @@ def forward(params: ModelParameters, input_ids, condition_ids,
     condition_ids = np.concatenate([null_col, condition_ids], axis=1)
     condition_mask = np.concatenate([np.ones((b, 1)), condition_mask], axis=1)
 
-    key_mask = np.where(condition_mask[:, None, :] > 0, 0.0, NEG_INF)
+    key_mask = np.where(condition_mask[:, None, None, :] > 0, 0.0, NEG_INF)
     if cache is not None and np.array_equal(cache.conditions, condition_ids) \
             and np.array_equal(cache.key_mask, key_mask):
         enc = cache.enc_out
@@ -277,30 +328,32 @@ def forward(params: ModelParameters, input_ids, condition_ids,
         for i in range(cfg.encoder_blocks):
             enc = encoder_block(params, i, enc, key_mask, train, rng)
         if cache is not None:
-            enc = ad.constant(enc.data)
             cache.conditions, cache.key_mask, cache.enc_out = condition_ids, key_mask, enc
+            cache.cross_kv = [KVCache(grows=False) for _ in range(cfg.decoder_blocks)]
             cache.window = None
 
     # Decoder stream: token embeddings plus positional encoding. With a
     # cache, rows before ``start`` are already in every layer's keys/values.
     start = 0
-    kv = [None] * cfg.decoder_blocks
     if cache is not None:
         window = input_ids[0]
         known = cache.window
         if known is not None and t == len(known) + 1 and np.array_equal(window[:-1], known):
             start = t - 1
         else:
-            cache.kv = [[] for _ in range(cfg.decoder_blocks)]
-        cache.window, kv = window.copy(), cache.kv
-    pe = positional_encoding(t, cfg.d_model, dtype, start)
+            cache.self_kv = [KVCache(grows=True) for _ in range(cfg.decoder_blocks)]
+        cache.window = window.copy()
+        pe = cache.pe[start:t]
+    else:
+        pe = positional_encoding(t, cfg.d_model, dtype)
     dec = ad.add(ad.embedding_gather(params["tok_emb"], input_ids[:, start:]), ad.constant(pe))
     dec = ad.dropout(dec, cfg.dropout, rng, training=train)
-    cmask = causal_mask(t)[start:]
+    # A single new row may attend to every cached position: no mask.
+    cmask = causal_mask(t)[start:] if t - start > 1 else None
     for i in range(cfg.decoder_blocks):
-        dec = decoder_block(params, i, dec, enc, cmask, key_mask, train, rng, kv[i])
-    if cache is not None:
-        dec = ad.constant(dec.data[:, -1:])
+        kv = None if cache is None else (cache.self_kv[i], cache.cross_kv[i])
+        dec = decoder_block(params, i, dec, enc, cmask, key_mask, train, rng, kv,
+                            last_row=cache is not None and i == cfg.decoder_blocks - 1)
 
     def head(name: str) -> Tensor:
         logits = ad.matmul(dec, params[f"head.{name}"])

@@ -5,7 +5,9 @@ layer-wise trust ratio |w| / |update| so the step size adapts to each
 block's scale. The learning rate ramps linearly over the warmup steps and
 then holds at the peak. Checkpoints are a single binary file: magic,
 format version, a canonical JSON manifest (config, step, RNG state, tensor
-index), then raw little-endian tensor payloads; save -> load -> save is
+index), then raw little-endian tensor payloads, zero-padded so that the
+payload and every tensor start at an aligned offset. Loading reads the file
+once and hands out views of that buffer. save -> load -> save is
 byte-identical, and a resumed run replays the uninterrupted one exactly.
 """
 
@@ -14,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -24,14 +27,17 @@ from . import autodiff as ad
 from .config import ModelConfig, TrainConfig, config_hash
 from .corpus import AnnotatedRecord, build_batch, sample_window
 from .errors import DataError, NumericalError
-from .model import ModelParameters, forward, init_parameters, loss
+from .model import ModelParameters, forward, loss, parameter_shapes
 from .tokenizer import PAD_ID, TokenizerModel
 from .vocab import ConditionVocab, LabelVocabs
 
 log = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = b"CLMC"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+# The payload and every tensor in it start at a multiple of this many bytes
+# from the start of the file, so a read buffer yields aligned views.
+CHECKPOINT_ALIGN = 64
 
 
 def lr_at(step: int, peak: float, warmup: int) -> float:
@@ -104,17 +110,20 @@ def _tensor_entries(params: ModelParameters, opt: OptimizerState | None):
                 yield f"v:{name}", opt.v[name]
 
 
+def _aligned(n: int) -> int:
+    return -(-n // CHECKPOINT_ALIGN) * CHECKPOINT_ALIGN
+
+
 def save_checkpoint(path, params: ModelParameters, opt: OptimizerState | None,
                     rng: np.random.Generator, train_cfg: TrainConfig) -> None:
-    entries = list(_tensor_entries(params, opt))
+    entries = [(name, np.ascontiguousarray(arr)) for name, arr in _tensor_entries(params, opt)]
     index = []
     offset = 0
     for name, arr in entries:
-        arr = np.ascontiguousarray(arr)
-        nbytes = arr.nbytes
+        offset = _aligned(offset)
         index.append({"name": name, "dtype": arr.dtype.str, "shape": list(arr.shape),
-                      "offset": offset, "nbytes": nbytes})
-        offset += nbytes
+                      "offset": offset, "nbytes": arr.nbytes})
+        offset += arr.nbytes
     manifest = {
         "config_hash": config_hash(params.config),
         "model_config": dataclasses.asdict(params.config),
@@ -124,12 +133,14 @@ def save_checkpoint(path, params: ModelParameters, opt: OptimizerState | None,
         "tensors": index,
     }
     blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
+    header = CHECKPOINT_MAGIC + struct.pack("<IQ", CHECKPOINT_VERSION, len(blob)) + blob
     with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<IQ", CHECKPOINT_VERSION, len(blob)))
-        f.write(blob)
-        for _, arr in entries:
-            f.write(np.ascontiguousarray(arr).tobytes())
+        f.write(header.ljust(_aligned(len(header)), b"\0"))
+        written = 0
+        for entry, (_, arr) in zip(index, entries):
+            f.write(bytes(entry["offset"] - written))
+            f.write(memoryview(arr).cast("B"))
+            written = entry["offset"] + arr.nbytes
 
 
 @dataclass
@@ -143,45 +154,64 @@ class Checkpoint:
 
 
 def load_checkpoint(path, expect_hash: str | None = None) -> Checkpoint:
+    """Read a checkpoint into one buffer; every parameter and moment is a
+    writable view of it, so nothing is copied after the read."""
     try:
         with open(path, "rb") as f:
-            raw = f.read()
+            raw = bytearray(os.fstat(f.fileno()).st_size)
+            got = f.readinto(raw)
     except OSError as e:
         raise DataError(f"cannot read checkpoint {path}: {e}") from None
-    if raw[:4] != CHECKPOINT_MAGIC:
-        raise DataError(f"{path} is not a checkpoint (bad magic)")
+    if raw[:4] != CHECKPOINT_MAGIC or got < 16:
+        raise DataError(f"{path} is not a checkpoint (bad magic or short header)")
     version, manifest_len = struct.unpack_from("<IQ", raw, 4)
+    if version == 1:
+        raise DataError(f"checkpoint {path} was written by format 1, which this version "
+                        f"cannot read; re-save or re-train it")
     if version != CHECKPOINT_VERSION:
-        raise DataError(f"unsupported checkpoint version {version}")
-    manifest = json.loads(raw[16:16 + manifest_len])
-    if expect_hash is not None and manifest["config_hash"] != expect_hash:
-        raise DataError("checkpoint was written under a different model configuration")
-    model_cfg = ModelConfig(**manifest["model_config"])
-    if manifest["config_hash"] != config_hash(model_cfg):
+        raise DataError(f"checkpoint {path} has unsupported format version {version}")
+    if 16 + manifest_len > got:
+        raise DataError(f"checkpoint {path} is truncated inside its manifest")
+    try:
+        manifest = json.loads(raw[16:16 + manifest_len])
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise DataError(f"checkpoint {path} manifest is not valid JSON: {e}") from None
+    try:
+        model_cfg = ModelConfig(**manifest["model_config"])
+        train_cfg = TrainConfig(**manifest["train_config"])
+        stored_hash, step = manifest["config_hash"], manifest["step"]
+        rng = np.random.default_rng(0)
+        rng.bit_generator.state = manifest["rng_state"]
+        index = [(e["name"], int(e["offset"]), int(e["nbytes"]), np.dtype(e["dtype"]),
+                  tuple(e["shape"])) for e in manifest["tensors"]]
+    except (KeyError, TypeError, ValueError) as e:
+        raise DataError(f"checkpoint {path} manifest is malformed: {e!r}") from None
+    if expect_hash is not None and stored_hash != expect_hash:
+        raise DataError(f"checkpoint {path} was written under a different model configuration")
+    if stored_hash != config_hash(model_cfg):
         raise DataError(f"checkpoint {path} manifest hash does not match its config")
-    train_cfg = TrainConfig(**manifest["train_config"])
-    payload = raw[16 + manifest_len:]
 
+    payload = _aligned(16 + manifest_len)
     arrays = {}
-    for entry in manifest["tensors"]:
-        start, nbytes = entry["offset"], entry["nbytes"]
-        arr = np.frombuffer(payload[start:start + nbytes], dtype=np.dtype(entry["dtype"]))
-        arrays[entry["name"]] = arr.reshape(entry["shape"]).copy()
+    for name, offset, nbytes, dtype, shape in index:
+        if offset < 0 or payload + offset + nbytes > got:
+            raise DataError(f"checkpoint {path} is truncated: tensor {name} runs past the payload")
+        count = math.prod(shape)
+        if nbytes != dtype.itemsize * count:
+            raise DataError(f"checkpoint {path} tensor {name} holds {nbytes} bytes, not {shape} {dtype}")
+        arrays[name] = np.frombuffer(raw, dtype, count, payload + offset).reshape(shape)
 
-    params = init_parameters(model_cfg, np.random.default_rng(0),
-                             dtype=ad.DTYPES[train_cfg.precision])
-    opt = OptimizerState(step=manifest["step"])
-    for name, tensor in params.items():
+    tensors = {}
+    opt = OptimizerState(step=step)
+    for name, shape in parameter_shapes(model_cfg).items():
         stored = arrays.get(f"p:{name}")
-        if stored is None or stored.shape != tensor.data.shape:
+        if stored is None or stored.shape != shape:
             raise DataError(f"checkpoint {path} is missing tensor {name} or has a wrong shape")
-        tensor.data = stored
+        tensors[name] = ad.parameter(stored)
         if f"m:{name}" in arrays:
             opt.m[name] = arrays[f"m:{name}"]
             opt.v[name] = arrays[f"v:{name}"]
-    rng = np.random.default_rng(0)
-    rng.bit_generator.state = manifest["rng_state"]
-    return Checkpoint(params, opt, rng, model_cfg, train_cfg, manifest["step"])
+    return Checkpoint(ModelParameters(model_cfg, tensors), opt, rng, model_cfg, train_cfg, step)
 
 
 # ---------------------------------------------------------------------------

@@ -142,14 +142,29 @@ def test_matmul_shape_errors_name_shapes():
         ad.matmul(ad.constant(np.zeros(3)), b)
 
 
-def test_concat_lastdim_roundtrip_and_backward():
-    a = ad.parameter(np.ones((2, 3)))
-    b = ad.parameter(np.full((2, 2), 2.0))
-    out = ad.concat_lastdim([a, b])
-    assert out.data.shape == (2, 5)
-    ad.backward(ad.tensor_sum(ad.mul(out, ad.constant(np.arange(10.0).reshape(2, 5)))))
-    np.testing.assert_array_equal(a.grad, [[0, 1, 2], [5, 6, 7]])
-    np.testing.assert_array_equal(b.grad, [[3, 4], [8, 9]])
+def test_split_merge_heads_roundtrip_and_gradient():
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(2, 4, 6))
+    split = ad.split_heads(ad.constant(x), 3)
+    assert split.data.shape == (2, 3, 4, 2)
+    # head h holds columns 2h, 2h+1 of every row
+    np.testing.assert_array_equal(split.data[:, 1], x[..., 2:4])
+    np.testing.assert_array_equal(ad.merge_heads(split).data, x)
+    with pytest.raises(ValueError, match="heads"):
+        ad.split_heads(ad.constant(x), 4)
+
+    params = _random_params(rng, {"x": (2, 4, 6), "w": (6, 6)})
+    weights = rng.normal(size=(2, 4, 6))
+
+    def f():
+        # a per-head softmax makes each head's gradient depend on its own columns
+        heads = ad.split_heads(ad.matmul(params["x"], params["w"]), 3)
+        merged = ad.merge_heads(ad.softmax_lastdim(heads))
+        return ad.tensor_sum(ad.mul(merged, ad.constant(weights)))
+
+    res = _fd(f, params, step=1e-6)
+    assert res.max_rel_error < 1e-6
+    assert res.coords_checked == 2 * 4 * 6 + 6 * 6
 
 
 def test_masked_mean_counts_only_selected():

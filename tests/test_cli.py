@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -93,6 +95,24 @@ def test_generate_prompts_file_parallel(workdir, tmp_path):
     assert serial.read_text() == out.read_text()
 
 
+def test_generate_two_workers_match_one_across_the_slide(workdir, tmp_path):
+    # 40 sampled tokens run past the toy max_seq of 32, so every request
+    # decodes through both the growing cache and the slid-window recompute
+    prompts = tmp_path / "prompts.jsonl"
+    write_jsonl(prompts, toydata.memorization_documents()[:4])
+    outs = {}
+    for workers in (1, 2):
+        outs[workers] = tmp_path / f"gen-{workers}.jsonl"
+        assert cli.main(["generate", "--checkpoint", str(workdir["final"]),
+                         "--tokenizer", str(workdir["tok"]), "--vocab", str(workdir["vocab"]),
+                         "--prompts-file", str(prompts), "--n", "40", "--temperature", "1.0",
+                         "--top-k", "20", "--workers", str(workers), "--seed", "3",
+                         "--out", str(outs[workers])]) == 0
+    rows = [json.loads(line) for line in outs[1].read_text().splitlines()]
+    assert len(rows) == 4 and any(r["termination"] == "max_tokens" for r in rows)
+    assert outs[2].read_text() == outs[1].read_text()
+
+
 def test_evaluate_end_to_end(workdir, tmp_path, capsys):
     prompts = tmp_path / "prompts.jsonl"
     write_jsonl(prompts, toydata.memorization_documents()[:3])
@@ -145,6 +165,35 @@ def test_checkpoint_artifact_mismatch_rejected(workdir, tmp_path, capsys):
                      "--title", "the probe", "--year", "1996"])
     assert code == 2
     assert "do not match" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage,message", [
+    (lambda raw: raw[:4] + (1).to_bytes(4, "little") + raw[8:],
+     "was written by format 1, which this version cannot read; re-save or re-train it"),
+    (lambda raw: raw[:16] + b"[" + raw[17:], "manifest is not valid JSON"),
+])
+def test_generate_damaged_checkpoint_exits_two(workdir, tmp_path, capsys, damage, message):
+    bad = tmp_path / "damaged.bin"
+    bad.write_bytes(damage(workdir["final"].read_bytes()))
+    code = cli.main(["generate", "--checkpoint", str(bad),
+                     "--tokenizer", str(workdir["tok"]), "--vocab", str(workdir["vocab"]),
+                     "--title", "the probe", "--year", "1996"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"data error: checkpoint {bad} ") and message in err
+    assert "Traceback" not in err
+
+
+def test_generate_names_the_truncated_tensor(workdir, tmp_path, capsys):
+    raw = workdir["final"].read_bytes()
+    manifest_end = 16 + int.from_bytes(raw[8:16], "little")
+    last = json.loads(raw[16:manifest_end])["tensors"][-1]["name"]
+    bad = tmp_path / "short.bin"
+    bad.write_bytes(raw[:-8])
+    assert cli.main(["generate", "--checkpoint", str(bad),
+                     "--tokenizer", str(workdir["tok"]), "--vocab", str(workdir["vocab"]),
+                     "--title", "the probe", "--year", "1996"]) == 2
+    assert f"tensor {last} runs past the payload" in capsys.readouterr().err
 
 
 # --- exit codes and argument handling ----------------------------------------------
@@ -205,3 +254,16 @@ def test_module_entrypoint_help():
     for cmd in ("train-tokenizer", "build-vocab", "build-df", "train",
                 "generate", "evaluate"):
         assert cmd in proc.stdout
+
+
+def test_toy_pipeline_script_smoke(tmp_path):
+    # the script drives every subcommand through the CLI, checkpoints included
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(root / "scripts" / "toy_pipeline.py"),
+                           "--steps", "20", "--workdir", str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert (tmp_path / "checkpoints" / "final.bin").exists()
+    assert json.loads((tmp_path / "report.json").read_text())["documents"] == 8

@@ -50,8 +50,8 @@ def test_positional_encoding_values():
     # channel pair k shares the rate 10000^(2k/d)
     np.testing.assert_allclose(pe[2, 2], math.sin(2.0 / 10000 ** (2 / 8)), atol=1e-12)
     assert positional_encoding(4, 6, dtype=np.float32).dtype == np.float32
-    np.testing.assert_array_equal(positional_encoding(9, 8, start=6),
-                                  positional_encoding(9, 8)[6:])
+    # decoding slices rows from one max_seq table
+    np.testing.assert_array_equal(positional_encoding(9, 8)[:6], positional_encoding(6, 8))
 
 
 def test_positional_encoding_rows_distinct():
@@ -92,6 +92,8 @@ def test_attention_additive_mask_blocks_keys():
 
 def test_causal_mask_pattern():
     m = causal_mask(4)
+    assert m.dtype == np.float64 and causal_mask(3, np.float32).dtype == np.float32
+    np.testing.assert_array_equal(np.isneginf(m), np.triu(np.ones((4, 4), dtype=bool), 1))
     assert m[0, 0] == 0 and m[1, 0] == 0
     assert np.isneginf(m[0, 1]) and np.isneginf(m[2, 3])
     assert not np.isneginf(m[3, 0])
@@ -100,11 +102,11 @@ def test_causal_mask_pattern():
 def test_multi_head_shapes_and_zero_projection(tiny_cfg, tiny_params):
     cfg, params = tiny_cfg, tiny_params
     x = ad.constant(np.random.default_rng(2).normal(size=(2, 5, cfg.d_model)))
-    heads, out_w = md._mh_params(params, "dec0.self")
-    out = multi_head(heads, out_w, x, x, causal_mask(5))
+    out = multi_head(params, "dec0.self", x, x, causal_mask(5))
     assert out.data.shape == (2, 5, cfg.d_model)
-    zero_w = ad.constant(np.zeros_like(out_w.data))
-    np.testing.assert_array_equal(multi_head(heads, zero_w, x, x).data, 0.0)
+    zero_w = ad.constant(np.zeros_like(params["dec0.self.out"].data))
+    zeroed = md.ModelParameters(cfg, {**params.tensors, "dec0.self.out": zero_w})
+    np.testing.assert_array_equal(multi_head(zeroed, "dec0.self", x, x).data, 0.0)
 
 
 def test_encoder_block_is_permutation_equivariant(tiny_cfg, tiny_params):
@@ -127,9 +129,9 @@ def test_parameter_shapes(tiny_cfg, tiny_params):
     assert t["tok_emb"].data.shape == (cfg.token_vocab, cfg.d_model)
     # the +1 row is the learned null condition
     assert t["cond_emb"].data.shape == (cfg.cond_vocab + 1, cfg.d_model)
-    assert t["enc0.self.q0"].data.shape == (cfg.d_model, cfg.head_dim)
+    assert t["enc0.self.q"].data.shape == (cfg.d_model, cfg.d_model)
     assert t["enc0.self.out"].data.shape == (cfg.d_model, cfg.d_model)
-    assert t["dec0.cross.k1"].data.shape == (cfg.d_model, cfg.head_dim)
+    assert t["dec0.cross.k"].data.shape == (cfg.d_model, cfg.d_model)
     assert t["dec0.ff.w1"].data.shape == (cfg.d_model, cfg.ff_size)
     assert t["head.token"].data.shape == (cfg.d_model, cfg.token_vocab)
     assert t["head.ent"].data.shape == (cfg.d_model, cfg.ent_vocab)
@@ -148,8 +150,8 @@ def test_block_count_scales_inventory():
                       ent_vocab=2, cond_vocab=2)
     n_small = len(dict(make_params(small).items()))
     n_big = len(dict(make_params(big).items()))
-    # encoder block: 7 attn + 2x2 ln + 2 ff = 13 tensors; decoder block: 22
-    assert n_big == n_small + 13 + 2 * 22
+    # encoder block: 4 attn + 2x2 ln + 2 ff = 10 tensors; decoder block: 16
+    assert n_big == n_small + 10 + 2 * 16
 
 
 def test_init_is_seeded(tiny_cfg):
@@ -159,6 +161,42 @@ def test_init_is_seeded(tiny_cfg):
         np.testing.assert_array_equal(ta.data, tb.data)
     assert any(not np.array_equal(ta.data, dict(c.items())[name].data)
                for name, ta in a.items())
+
+
+def per_head_init(cfg, rng, dtype=ad.WIDE):
+    """The per-head draw: q, k and v of head 0, then of head 1, ..., then
+    ``out``, for each attention block in inventory order."""
+    d, hd = cfg.d_model, cfg.head_dim
+    drawn = {}
+    for name, shape in md.parameter_shapes(cfg).items():
+        prefix, _, part = name.rpartition(".")
+        if part == "q":
+            for h in range(cfg.heads):
+                for p in "qkv":
+                    drawn[f"{prefix}.{p}{h}"] = rng.normal(0.0, md.INIT_STD, (d, hd)).astype(dtype)
+        elif part not in ("k", "v", "gain", "bias"):
+            drawn[name] = rng.normal(0.0, md.INIT_STD, shape).astype(dtype)
+    return drawn
+
+
+@pytest.mark.parametrize("heads,dtype", [(2, ad.WIDE), (4, ad.NARROW)])
+def test_fused_init_is_the_per_head_draw(heads, dtype):
+    cfg = ModelConfig(d_model=16, heads=heads, encoder_blocks=2, decoder_blocks=2,
+                      ff_size=32, token_vocab=7, pos_vocab=3, dep_vocab=4,
+                      ent_vocab=5, cond_vocab=6)
+    fused = make_params(cfg, seed=9, dtype=dtype)
+    drawn = per_head_init(cfg, np.random.default_rng(9), dtype)
+    assert [n for n, _ in fused.items()] == list(md.parameter_shapes(cfg))
+    for name, tensor in fused.items():
+        prefix, _, part = name.rpartition(".")
+        if part in ("q", "k", "v"):
+            want = np.concatenate([drawn[f"{prefix}.{part}{h}"] for h in range(heads)], axis=1)
+        elif part in ("gain", "bias"):
+            want = np.full(cfg.d_model, 1.0 if part == "gain" else 0.0, dtype=dtype)
+        else:
+            want = drawn[name]
+        assert tensor.data.dtype == want.dtype
+        assert tensor.data.tobytes() == want.tobytes(), name
 
 
 # --- forward ----------------------------------------------------------------------
@@ -331,37 +369,94 @@ def assert_last_row_matches(cached, full, atol):
         np.testing.assert_allclose(got[0], want[-1], rtol=0, atol=atol)
 
 
-@pytest.mark.parametrize("seed,blocks", [(0, 1), (1, 2), (2, 1), (3, 2)])
+@pytest.mark.parametrize("seed,blocks", [(0, 1), (1, 2), (2, 1), (3, 2), (4, 3)])
 def test_cached_forward_matches_full_every_step(monkeypatch, seed, blocks):
     params = decode_params(seed, blocks)
     n = params.config.max_seq
     rng = np.random.default_rng(seed)
     ids = rng.integers(0, params.config.token_vocab, size=3 * n)
     conds = rng.integers(0, params.config.cond_vocab, size=2)
-    encoded, decoded_rows = [], []
-    enc_block, dec_block = md.encoder_block, md.decoder_block
+    encoded, block_rows, query_rows = [], {}, {}
+    enc_block, dec_block, attend = md.encoder_block, md.decoder_block, md.multi_head
 
     def counting_encoder(*args, **kwargs):
         encoded.append(1)
         return enc_block(*args, **kwargs)
 
     def counting_decoder(params, index, x, *args, **kwargs):
-        if index == 0:
-            decoded_rows.append(x.data.shape[-2])
+        block_rows.setdefault(index, []).append(x.data.shape[-2])
         return dec_block(params, index, x, *args, **kwargs)
+
+    def counting_attention(params, prefix, x, y, *args, **kwargs):
+        out = attend(params, prefix, x, y, *args, **kwargs)
+        if prefix.startswith("dec") and prefix.endswith(".self"):
+            query_rows.setdefault(prefix, []).append(out.data.shape[-2])
+        return out
 
     cache = md.DecodeCache()
     for end in range(1, len(ids) + 1):
         window = ids[:end] if end < n else ids[end - (n - 1):end]
         monkeypatch.setattr(md, "encoder_block", counting_encoder)
         monkeypatch.setattr(md, "decoder_block", counting_decoder)
+        monkeypatch.setattr(md, "multi_head", counting_attention)
         cached = forward(params, window, conds, cache=cache)
         monkeypatch.undo()
         assert_last_row_matches(cached, forward(params, window, conds), atol=1e-6)
     # the encoder ran once; the growing window went one row at a time, and
-    # every window after the slide was recomputed whole
+    # every window after the slide was recomputed whole, except that the
+    # last block's queries cover the last row only
     assert len(encoded) == blocks
-    assert decoded_rows == [1] * (n - 1) + [n - 1] * (len(ids) - n + 1)
+    growing = [1] * (n - 1) + [n - 1] * (len(ids) - n + 1)
+    assert block_rows == {i: growing for i in range(blocks)}
+    assert query_rows == {f"dec{i}.self": growing if i < blocks - 1 else [1] * len(ids)
+                          for i in range(blocks)}
+
+
+def test_cached_forward_builds_no_graph(monkeypatch):
+    params = decode_params(6, 2)
+    edges = []
+    node = ad._node
+
+    def counting_node(data, parents, backward_fn):
+        edges.append(any(p.requires_grad for p in parents))
+        return node(data, parents, backward_fn)
+
+    monkeypatch.setattr(ad, "_node", counting_node)
+    cache = md.DecodeCache()
+    for window in ([1], [1, 2], [1, 2, 3], [2, 3, 4, 5, 6], [3, 4, 5, 6, 7]):
+        out = forward(params, np.array(window), np.array([1, 3]), cache=cache)
+        for name in HEADS:
+            logits = getattr(out, name)
+            assert logits.parents == () and not logits.requires_grad
+    assert edges and not any(edges)
+    assert all(t.grad is None for _, t in params.items())
+    # the uncached path still builds the graph that training needs
+    forward(params, np.array([1, 2]), np.array([1, 3]))
+    assert any(edges)
+
+
+def test_cross_attention_keys_values_projected_once_per_encoding(monkeypatch):
+    params = decode_params(7, 2)
+    cross_k = {params[f"dec{i}.cross.k"].data.ctypes.data for i in range(2)}
+    projections = []
+    matmul = ad.matmul
+
+    def counting_matmul(a, b):
+        if b.data.ctypes.data in cross_k:
+            projections.append(a.data.shape[-2])
+        return matmul(a, b)
+
+    monkeypatch.setattr(ad, "matmul", counting_matmul)
+    cache = md.DecodeCache()
+    # growing window, then slid windows recomputed whole: one projection per layer
+    for window in ([1], [1, 2], [1, 2, 3], [1, 2, 3, 4, 5], [2, 3, 4, 5, 6], [3, 4, 5, 6, 7]):
+        forward(params, np.array(window), np.array([1, 3]), cache=cache)
+    # the null condition plus two keywords: three key rows per layer
+    assert projections == [3, 3]
+    forward(params, np.array([3, 4, 5, 6, 7, 8]), np.array([3, 1]), cache=cache)
+    assert projections == [3, 3]
+    forward(params, np.array([3, 4, 5, 6, 7, 8]), np.array([2]), cache=cache)
+    assert projections == [3, 3, 2, 2]
 
 
 def test_cache_rebuilds_on_new_conditions_or_other_window():

@@ -1,5 +1,7 @@
+import json
 import math
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -173,6 +175,85 @@ def test_checkpoint_rejects_corruption(tmp_path):
         tr.load_checkpoint(bad)
     with pytest.raises(DataError):
         tr.load_checkpoint(tmp_path / "missing.bin")
+
+
+def _manifest(raw: bytes) -> tuple[dict, int]:
+    """The manifest and the payload's file offset."""
+    (length,) = struct.unpack_from("<Q", raw, 8)
+    return json.loads(raw[16:16 + length]), 16 + length
+
+
+@pytest.mark.parametrize("precision", ["narrow", "wide"])
+def test_checkpoint_is_aligned_and_loads_as_views(tmp_path, precision):
+    # widths of 6 and 10 elements: unpadded tensors would start off the alignment
+    cfg = ModelConfig(d_model=6, heads=3, encoder_blocks=1, decoder_blocks=1, ff_size=10,
+                      token_vocab=7, pos_vocab=3, dep_vocab=4, ent_vocab=5, cond_vocab=3)
+    params = init_parameters(cfg, np.random.default_rng(0), dtype=ad.DTYPES[precision])
+    opt = tr.OptimizerState(step=1, m={n: t.data + 1 for n, t in params.items()},
+                            v={n: t.data + 2 for n, t in params.items()})
+    path = tmp_path / "c.bin"
+    tr.save_checkpoint(path, params, opt, np.random.default_rng(0),
+                       TrainConfig(precision=precision))
+    raw = path.read_bytes()
+    manifest, end = _manifest(raw)
+    payload = -(-end // tr.CHECKPOINT_ALIGN) * tr.CHECKPOINT_ALIGN
+    assert raw[end:payload] == bytes(payload - end)
+    assert all(e["offset"] % tr.CHECKPOINT_ALIGN == 0 for e in manifest["tensors"])
+    last = manifest["tensors"][-1]
+    assert len(raw) == payload + last["offset"] + last["nbytes"]  # no trailing padding
+
+    ck = tr.load_checkpoint(path)
+    arrays = [t.data for _, t in ck.params.items()] + list(ck.opt.m.values()) + list(ck.opt.v.values())
+    buffers = set()
+    for arr in arrays:
+        assert arr.flags.writeable and arr.flags.aligned
+        base = arr
+        while isinstance(base, np.ndarray):
+            base = base.base
+        buffers.add(id(base.obj if isinstance(base, memoryview) else base))
+    assert len(buffers) == 1  # one read buffer, no copies
+    for name, tensor in params.items():
+        np.testing.assert_array_equal(ck.params[name].data, tensor.data)
+        np.testing.assert_array_equal(ck.opt.v[name], opt.v[name])
+
+
+def test_damaged_checkpoints_name_the_file(tmp_path):
+    params, opt, rng, tcfg = trained_little_model()
+    path = tmp_path / "c.bin"
+    tr.save_checkpoint(path, params, opt, rng, tcfg)
+    raw = path.read_bytes()
+    manifest, end = _manifest(raw)
+
+    def damaged(name, data):
+        out = tmp_path / name
+        out.write_bytes(data)
+        return out
+
+    v1 = damaged("v1.bin", raw[:4] + struct.pack("<I", 1) + raw[8:])
+    with pytest.raises(DataError, match=r"v1\.bin was written by format 1.*re-save or re-train"):
+        tr.load_checkpoint(v1)
+    garbled = damaged("garbled.bin", raw[:16] + b"!" + raw[17:])
+    with pytest.raises(DataError, match=r"garbled\.bin manifest is not valid JSON"):
+        tr.load_checkpoint(garbled)
+    short_manifest = damaged("short-manifest.bin", raw[:end - 5])
+    with pytest.raises(DataError, match=r"short-manifest\.bin is truncated inside its manifest"):
+        tr.load_checkpoint(short_manifest)
+    last = manifest["tensors"][-1]["name"]
+    short = damaged("short.bin", raw[:-100])
+    with pytest.raises(DataError, match=rf"short\.bin is truncated: tensor {last} runs past"):
+        tr.load_checkpoint(short)
+    manifest["tensors"][0]["nbytes"] += 4
+    blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
+    resized = damaged("resized.bin", raw[:4] + struct.pack("<IQ", tr.CHECKPOINT_VERSION, len(blob))
+                      + blob + raw[end:])
+    with pytest.raises(DataError, match=r"resized\.bin tensor p:tok_emb holds"):
+        tr.load_checkpoint(resized)
+    del manifest["rng_state"]
+    blob = json.dumps(manifest).encode()
+    malformed = damaged("malformed.bin", raw[:4] + struct.pack("<IQ", tr.CHECKPOINT_VERSION, len(blob))
+                        + blob + raw[end:])
+    with pytest.raises(DataError, match=r"malformed\.bin manifest is malformed"):
+        tr.load_checkpoint(malformed)
 
 
 def test_checkpoint_cadence():
