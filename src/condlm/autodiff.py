@@ -2,8 +2,11 @@
 
 A small tape-free engine: every op returns a ``Tensor`` holding the forward
 value plus a closure that routes the output gradient into the operands'
-``grad`` buffers. Gradients accumulate additively, so repeated ``backward``
-calls without ``zero_grad`` sum their contributions.
+``grad`` buffers. ``backward`` frees each interior node's gradient once the
+node has passed it on, so only the leaves keep theirs. Leaf gradients
+accumulate additively (in place, when ``zero_grad`` has bound them to
+views of one flat buffer), so repeated ``backward`` calls without
+``zero_grad`` sum their contributions.
 
 Two precisions are supported and chosen by the arrays you put in:
 float64 ("wide") for oracles and gradient checks, float32 ("narrow") for
@@ -12,6 +15,7 @@ training throughput. Ops never change dtype on their own.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -45,8 +49,10 @@ class Tensor:
 
     def accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # a copy: ``g`` may be another node's gradient or a view of it
+            self.grad = np.array(g, dtype=self.data.dtype)
+        else:
+            self.grad += g
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
@@ -85,12 +91,27 @@ def _sum_to_shape(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def matmul(a, b) -> Tensor:
-    """Batched matrix product over the last two axes."""
+    """Batched matrix product over the last two axes. A batch of several
+    matrices times a 2-d weight runs as one 2-d product over the folded
+    leading axes, and its weight gradient as one more. (A batch of one
+    matrix is already one product; folding it would only add reshapes.)"""
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ValueError(f"matmul needs >=2-d operands, got {a.data.shape} @ {b.data.shape}")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ValueError(f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}")
+    if b.data.ndim == 2 and math.prod(a.data.shape[:-2]) > 1:
+        a2 = a.data.reshape(-1, a.data.shape[-1])
+        out_data = (a2 @ b.data).reshape(*a.data.shape[:-1], b.data.shape[1])
+
+        def bw(g):
+            g2 = g.reshape(-1, g.shape[-1])
+            if a.requires_grad:
+                a.accumulate((g2 @ b.data.T).reshape(a.data.shape))
+            if b.requires_grad:
+                b.accumulate(a2.T @ g2)
+
+        return _node(out_data, (a, b), bw)
     out_data = a.data @ b.data
 
     def bw(g):
@@ -347,7 +368,7 @@ def tensor_sum(a) -> Tensor:
 
     def bw(g):
         if a.requires_grad:
-            a.accumulate(np.broadcast_to(g, a.data.shape).astype(a.data.dtype))
+            a.accumulate(np.broadcast_to(g, a.data.shape))
 
     return _node(out_data, (a,), bw)
 
@@ -385,11 +406,23 @@ def backward(loss: Tensor) -> None:
     for node in reversed(topo):
         if node.backward_fn is not None and node.grad is not None:
             node.backward_fn(node.grad)
+            # Passed on: an interior gradient is not needed again, and
+            # keeping it would double-count in a second pass.
+            node.grad = None
 
 
-def zero_grad(tensors: Iterable[Tensor]) -> None:
-    for t in tensors:
-        t.grad = None
+def zero_grad(tensors: Iterable[Tensor], flat: np.ndarray | None = None,
+              views: Sequence[np.ndarray] = ()) -> None:
+    """Clear the tensors' gradients. Given a flat gradient buffer and one
+    view of it per tensor, zero the buffer in one fill and bind the views,
+    so that backward accumulates into them in place."""
+    if flat is None:
+        for t in tensors:
+            t.grad = None
+        return
+    flat.fill(0)
+    for t, view in zip(tensors, views, strict=True):
+        t.grad = view
 
 
 @dataclass

@@ -75,6 +75,14 @@ class TrainConfig:
             raise ConfigError(f"peak_lr: {self.peak_lr} must be positive")
         if self.warmup_steps < 0:
             raise ConfigError(f"warmup_steps: {self.warmup_steps} must be >= 0")
+        for field in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, field) < 1.0:
+                raise ConfigError(f"{field}: {getattr(self, field)} outside [0, 1)")
+        # eps keeps LAMB's division finite where a block's second moment is 0
+        if not self.eps > 0:
+            raise ConfigError(f"eps: {self.eps} must be positive")
+        if not self.weight_decay >= 0:
+            raise ConfigError(f"weight_decay: {self.weight_decay} must be >= 0")
         if self.precision not in ("narrow", "wide"):
             raise ConfigError(f"precision: {self.precision!r} is not 'narrow' or 'wide'")
 

@@ -38,12 +38,30 @@ INIT_STD = 0.02
 NEG_INF = float("-inf")
 
 
+@dataclass
+class Arena:
+    """Every parameter's data, and every gradient, as views of one flat
+    buffer each, in ``ModelParameters`` order. Tensor i occupies
+    ``spans[i]`` (start, stop) of both buffers; ``datas[i]`` and
+    ``grads[i]`` are its views."""
+    data: np.ndarray
+    grad: np.ndarray
+    spans: list[tuple[int, int]]
+    datas: list[np.ndarray]
+    grads: list[np.ndarray]
+
+
 class ModelParameters:
-    """Flat name -> Tensor mapping plus the config that shaped it."""
+    """Flat name -> Tensor mapping plus the config that shaped it.
+
+    The first training step moves the tensors' data into an ``Arena``
+    (see ``arena``); until then each tensor keeps the array it was built
+    with, so a loaded checkpoint stays a set of views of its read buffer."""
 
     def __init__(self, config: ModelConfig, tensors: dict[str, Tensor]):
         self.config = config
         self.tensors = tensors
+        self._arena: Arena | None = None
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
@@ -51,8 +69,37 @@ class ModelParameters:
     def items(self):
         return self.tensors.items()
 
+    def arena(self) -> Arena:
+        """The flat buffers. Built on first use by copying every tensor's
+        data in and rebinding ``tensor.data`` to its view; built again if
+        a tensor's data has been rebound since."""
+        tensors = list(self.tensors.values())
+        arena = self._arena
+        if arena is not None and len(arena.datas) == len(tensors) \
+                and all(t.data is view for t, view in zip(tensors, arena.datas)):
+            return arena
+        dtype = tensors[0].data.dtype
+        if any(t.data.dtype != dtype for t in tensors):
+            raise ValueError("parameters of mixed dtypes cannot share one arena")
+        stops = np.cumsum([t.data.size for t in tensors]).tolist()
+        spans = list(zip([0] + stops[:-1], stops))
+        data = np.empty(stops[-1], dtype=dtype)
+        grad = np.zeros(stops[-1], dtype=dtype)
+        datas, grads = [], []
+        for t, (a, b) in zip(tensors, spans):
+            view = data[a:b].reshape(t.data.shape)
+            view[...] = t.data
+            t.data = view
+            datas.append(view)
+            grads.append(grad[a:b].reshape(t.data.shape))
+        self._arena = Arena(data, grad, spans, datas, grads)
+        return self._arena
+
     def zero_grad(self) -> None:
-        ad.zero_grad(self.tensors.values())
+        """Zero the gradient arena in one fill and bind every tensor's
+        ``grad`` to its view, so backward accumulates in place."""
+        arena = self.arena()
+        ad.zero_grad(self.tensors.values(), arena.grad, arena.grads)
 
     @property
     def dtype(self):

@@ -2,8 +2,9 @@
 
 Deliberately independent routes: enumeration instead of dynamic
 programming, explicit normalized TF-IDF vectors instead of the cancelled
-form, recursive LCS, and a fully exhaustive METEOR alignment search. Slow
-on purpose; inputs stay tiny.
+form, recursive LCS, a fully exhaustive METEOR alignment search, and LAMB
+one tensor at a time instead of over the flat arena. Slow on purpose;
+inputs stay tiny.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import itertools
 import math
 from collections import Counter
 from functools import lru_cache
+
+import numpy as np
 
 
 def grams(tokens, n):
@@ -196,3 +199,28 @@ def o_best_segmentation_score(word, pieces):
     for seg in o_segmentations(word, pieces):
         best = max(best, sum(pieces[p] for p in seg))
     return best
+
+
+# --- LAMB ----------------------------------------------------------------------
+
+def o_lamb_step(tensors, grads, m, v, step, cfg):
+    """One LAMB update, block by block, on plain arrays: ``tensors`` and
+    ``grads`` map name -> array (a None gradient counts as zero), ``m`` and
+    ``v`` are per-name moment dicts filled on first use, ``step`` is the
+    step being taken (1-based). Updates the tensors in place."""
+    lr = cfg.peak_lr * min(step, cfg.warmup_steps) / cfg.warmup_steps \
+        if cfg.warmup_steps > 0 else cfg.peak_lr
+    for name, w in tensors.items():
+        g = grads[name] if grads[name] is not None else np.zeros_like(w)
+        if name not in m:
+            m[name], v[name] = np.zeros_like(w), np.zeros_like(w)
+        m[name][:] = cfg.beta1 * m[name] + (1.0 - cfg.beta1) * g
+        v[name][:] = cfg.beta2 * v[name] + (1.0 - cfg.beta2) * (g * g)
+        m_hat = m[name] / (1.0 - cfg.beta1 ** step)
+        v_hat = v[name] / (1.0 - cfg.beta2 ** step)
+        update = m_hat / (np.sqrt(v_hat) + cfg.eps) + cfg.weight_decay * w
+        w_norm = float(np.linalg.norm(w))
+        u_norm = float(np.linalg.norm(update))
+        trust = w_norm / u_norm if w_norm > 0 and u_norm > 0 else 1.0
+        w -= (lr * trust) * update
+    return lr

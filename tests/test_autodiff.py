@@ -192,6 +192,27 @@ def test_backward_accumulates_across_calls():
     assert x.grad is None
 
 
+def test_second_backward_over_same_graph_sums():
+    # l = 2 x^2 at x = 3: dl/dx = 12, so two passes give 24
+    x = ad.parameter(np.array([3.0]))
+    doubled = ad.scale(x, 2)
+    loss = ad.tensor_sum(ad.mul(doubled, x))
+    ad.backward(loss)
+    assert doubled.grad is None and loss.grad is None  # interior: freed
+    ad.backward(loss)
+    np.testing.assert_allclose(x.grad, [24.0])
+
+
+def test_backward_accumulates_in_place_into_bound_views():
+    flat = np.full(5, 7.0)
+    x, b = ad.parameter(np.ones((2, 2))), ad.parameter(np.ones(1))
+    ad.zero_grad([x, b], flat, [flat[:4].reshape(2, 2), flat[4:]])
+    assert not flat.any()
+    ad.backward(ad.tensor_sum(ad.add(ad.scale(x, 3), b)))
+    assert np.shares_memory(x.grad, flat) and np.shares_memory(b.grad, flat)
+    np.testing.assert_array_equal(flat, [3, 3, 3, 3, 4])
+
+
 def test_backward_reused_node_sums_paths():
     x = ad.parameter(np.array([2.0]))
     y = ad.mul(x, x)           # x^2
@@ -290,6 +311,51 @@ def test_finite_diff_coordinate_sampling_needs_rng():
     res = _fd(lambda: ad.tensor_sum(ad.mul(x, x)), {"x": x}, max_coords=3,
               rng=np.random.default_rng(0))
     assert res.coords_checked == 3
+
+
+@pytest.mark.parametrize("lead", [(1, 5), (3, 5), (2, 3, 4)])
+def test_folded_matmul_matches_einsum(monkeypatch, lead):
+    # a batch of several matrices times a 2-d weight runs as one 2-d
+    # product, with no batched weight gradient to sum down; a batch of one
+    # matrix takes the general path
+    unbroadcast = []
+    sum_to_shape = ad._sum_to_shape
+    monkeypatch.setattr(ad, "_sum_to_shape",
+                        lambda g, shape: unbroadcast.append(shape) or sum_to_shape(g, shape))
+    rng = np.random.default_rng(len(lead))
+    a = ad.parameter(rng.normal(size=(*lead, 6)))
+    w = ad.parameter(rng.normal(size=(6, 4)))
+    up = rng.normal(size=(*lead, 4))
+    out = ad.matmul(a, w)
+    np.testing.assert_allclose(out.data, np.einsum("...k,kn->...n", a.data, w.data),
+                               rtol=0, atol=1e-12)
+    ad.backward(ad.tensor_sum(ad.mul(out, ad.constant(up))))
+    np.testing.assert_allclose(a.grad, np.einsum("...n,kn->...k", up, w.data),
+                               rtol=0, atol=1e-12)
+    axes = "abc"[:len(lead)]
+    np.testing.assert_allclose(w.grad, np.einsum(f"{axes}k,{axes}n->kn", a.data, up),
+                               rtol=0, atol=1e-12)
+    assert a.grad.shape == a.data.shape and w.grad.shape == w.data.shape
+    folded = np.prod(lead[:-1]) > 1
+    assert (w.data.shape not in unbroadcast) == folded
+
+
+@pytest.mark.parametrize("lead", [(2, 3), (2, 2, 3)])
+def test_finite_diff_folded_matmul(lead):
+    rng = np.random.default_rng(7 + len(lead))
+    # one contiguous activation, and one transposed view that the fold copies
+    params = _random_params(rng, {"a": (*lead, 4), "t": (*lead[:-1], 4, lead[-1]),
+                                  "w": (4, 3)})
+    weights = rng.normal(size=(2, *lead, 3))
+
+    def f():
+        h1 = ad.matmul(params["a"], params["w"])
+        h2 = ad.matmul(ad.swap_last2(params["t"]), params["w"])
+        return ad.add(ad.tensor_sum(ad.mul(ad.relu(h1), ad.constant(weights[0]))),
+                      ad.tensor_sum(ad.mul(h2, ad.constant(weights[1]))))
+
+    res = _fd(f, params, step=1e-6)
+    assert res.max_rel_error < 1e-6
 
 
 # --- properties --------------------------------------------------------------

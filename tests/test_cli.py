@@ -155,6 +155,19 @@ def test_config_file_and_unknown_field(workdir, tmp_path, capsys):
     assert "flux_capacitance" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["eps = 0", "beta2 = 1.0", "weight_decay = -0.5"])
+def test_train_rejects_bad_lamb_settings(workdir, tmp_path, capsys, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"d_model = 32\nheads = 2\nsteps = 2\nbatch_size = 4\n{line}\n")
+    out = tmp_path / "ck"
+    code = cli.main(["train", "--config", str(cfg), "--data", str(workdir["corpus"]),
+                     "--tokenizer", str(workdir["tok"]), "--vocab", str(workdir["vocab"]),
+                     "--checkpoint-dir", str(out)])
+    assert code == 1  # a configuration error, before any step
+    assert f"configuration error: {line.split()[0]}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_checkpoint_artifact_mismatch_rejected(workdir, tmp_path, capsys):
     # tokenizer with a different vocab size than the checkpoint was trained on
     other_tok = tmp_path / "tok.tsv"

@@ -4,7 +4,8 @@ import pytest
 from condlm import autodiff as ad
 from condlm import generator as gn
 from condlm import model as md
-from condlm.config import ModelConfig
+from condlm import trainer as tr
+from condlm.config import ModelConfig, TrainConfig
 from condlm.errors import DataError
 from condlm.model import init_parameters
 from condlm.tokenizer import END_ID, START_ID, TokenizerModel
@@ -175,6 +176,24 @@ def test_generate_end_token_termination():
     assert len(out.token_ids) == out.prompt_len + 1
     assert out.generated_text == ""
     assert out.sentences == []
+
+
+def test_generate_from_a_loaded_checkpoint_copies_no_parameter(tmp_path):
+    params, tok, cvocab = gen_setup()
+    path = tmp_path / "c.bin"
+    tr.save_checkpoint(path, params, tr.OptimizerState(), np.random.default_rng(0),
+                       TrainConfig(precision="wide"))
+    ck = tr.load_checkpoint(path)
+    gn.generate(ck.params, tok, cvocab,
+                gn.GenerationRequest("w0", 1990, temperature=0.0, max_tokens=20))
+    owners = set()
+    for _, t in ck.params.items():
+        base = t.data
+        while isinstance(base, np.ndarray):
+            base = base.base
+        owners.add(id(base.obj if isinstance(base, memoryview) else base))
+    assert len(owners) == 1  # still views of the one read buffer
+    assert ck.params._arena is None
 
 
 def test_generate_slides_window_past_max_seq():

@@ -9,8 +9,10 @@ import pytest
 from condlm import autodiff as ad
 from condlm import trainer as tr
 from condlm.config import ModelConfig, TrainConfig, config_hash
-from condlm.errors import DataError, NumericalError
+from condlm.errors import ConfigError, DataError, NumericalError
 from condlm.model import ModelParameters, init_parameters
+
+from oracles import o_lamb_step
 
 
 def small_cfg():
@@ -33,6 +35,22 @@ def test_lr_warmup_ramp():
     assert tr.lr_at(50, 1e-3, 50) == pytest.approx(1e-3)
     assert tr.lr_at(5000, 1e-3, 50) == pytest.approx(1e-3)
     assert tr.lr_at(1, 2e-3, 0) == 2e-3  # no warmup: constant
+
+
+# --- configuration -----------------------------------------------------------------
+
+@pytest.mark.parametrize("key, value", [
+    ("eps", 0.0), ("eps", -1e-8), ("beta1", 1.0), ("beta1", -0.1),
+    ("beta2", 1.0), ("beta2", 1.5), ("weight_decay", -0.01), ("eps", float("nan")),
+])
+def test_train_config_rejects_bad_lamb_settings(key, value):
+    TrainConfig().validate()
+    with pytest.raises(ConfigError, match=rf"^{key}: "):
+        TrainConfig(**{key: value}).validate()
+
+
+def test_train_config_accepts_lamb_edges():
+    TrainConfig(beta1=0.0, beta2=0.0, weight_decay=0.0, eps=1e-12).validate()
 
 
 # --- LAMB -------------------------------------------------------------------------
@@ -111,6 +129,70 @@ def test_lamb_warmup_step_one_uses_ramped_lr():
     t.grad = np.array([0.1])
     lr = tr.lamb_step(params, tr.OptimizerState(), cfg)
     assert lr == pytest.approx(1e-3 / 50)
+
+
+@pytest.mark.parametrize("group, several", [(tr.LAMB_GROUP, False), (100, True)])
+def test_arena_lamb_matches_per_tensor_oracle(monkeypatch, group, several):
+    # a group of 100 elements splits the arena into many groups, most of
+    # them smaller than the largest blocks
+    monkeypatch.setattr(tr, "LAMB_GROUP", group)
+    cfg = TrainConfig(peak_lr=1e-2, warmup_steps=3, weight_decay=0.01)
+    params = init_parameters(small_cfg(), np.random.default_rng(5), dtype=ad.WIDE)
+    ref = {name: t.data.copy() for name, t in params.items()}
+    m, v = {}, {}
+    state = tr.OptimizerState()
+    rng = np.random.default_rng(6)
+    for step in range(1, 6):
+        params.zero_grad()
+        grads = {}
+        for name, t in params.items():
+            grads[name] = rng.normal(size=t.data.shape)
+            if name == "enc0.ln1.gain":
+                t.grad = grads[name] = None  # no gradient reached it
+            elif name == "head.pos":
+                t.grad = grads[name].copy()  # assigned, not in the arena
+            else:
+                t.grad += grads[name]  # accumulated in place, as backward does
+        lr = tr.lamb_step(params, state, cfg)
+        assert lr == o_lamb_step(ref, grads, m, v, step, cfg)
+        for name, t in params.items():
+            assert np.max(np.abs(t.data - ref[name])) <= 1e-12, name
+            assert np.max(np.abs(state.m[name] - m[name])) <= 1e-12, name
+            assert np.max(np.abs(state.v[name] - v[name])) <= 1e-12, name
+    assert state.step == 5
+    flat = state.flat
+    assert (len(flat.groups) > 1) == several
+    assert [span for *_, blocks in flat.groups for span in blocks] == params.arena().spans
+    assert all(np.shares_memory(state.m[n], flat.m) and np.shares_memory(state.v[n], flat.v)
+               for n in params.tensors)
+
+
+def test_zero_grad_binds_every_tensor_to_one_arena():
+    params = init_parameters(small_cfg(), np.random.default_rng(0), dtype=ad.NARROW)
+    before = {name: t.data.copy() for name, t in params.items()}
+    for _, t in params.items():
+        t.grad = np.ones_like(t.data)
+    params.zero_grad()
+    arena = params.arena()
+    assert arena.data.size == arena.grad.size == sum(a.size for a in before.values())
+    assert arena.data.dtype == arena.grad.dtype == np.float32
+    for name, t in params.items():
+        assert np.shares_memory(t.data, arena.data) and np.shares_memory(t.grad, arena.grad)
+        np.testing.assert_array_equal(t.data, before[name])
+        assert t.grad.shape == t.data.shape and not t.grad.any()
+    # a second zero_grad reuses the same buffers
+    params.zero_grad()
+    assert params.arena() is arena
+
+
+def test_arena_follows_a_rebound_tensor():
+    params, t = scalar_params(0.5)
+    params.zero_grad()
+    first = params.arena()
+    t.data = np.array([2.0])
+    params.zero_grad()
+    assert params.arena() is not first and np.shares_memory(t.data, params.arena().data)
+    assert t.data[0] == 2.0
 
 
 # --- checkpoints -------------------------------------------------------------------
