@@ -19,8 +19,8 @@ import numpy as np
 
 from . import autodiff as ad
 from . import metrics as met
-from .config import PRESETS, config_hash, load_config
-from .corpus import filter_and_split, load_records
+from .config import config_hash, load_config
+from .corpus import load_records
 from .errors import ConfigError, DataError, NumericalError
 from .generator import GenerationRequest, generate
 from .model import init_parameters
@@ -198,18 +198,45 @@ def _parse_keywords(text: str) -> tuple[str, ...]:
     return tuple(k.strip() for k in text.split(",") if k.strip())
 
 
+def _jsonl_objects(path, what):
+    """(line number, object) for each non-blank line of a JSONL file. A line
+    that is not a JSON object is a DataError naming the file and line."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = f.read().splitlines()
+    except OSError as e:
+        raise DataError(f"cannot read {what} {path}: {e}") from None
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise DataError(f"{path}:{lineno}: {what} line is not valid JSON ({e})") from None
+        if not isinstance(obj, dict):
+            raise DataError(f"{path}:{lineno}: {what} line is not a JSON object")
+        yield lineno, obj
+
+
 def _prompt_rows(args):
     if args.prompts_file:
-        with open(args.prompts_file, encoding="utf-8") as f:
-            for line in f:
-                if not line.strip():
-                    continue
-                row = json.loads(line)
+        for lineno, row in _jsonl_objects(args.prompts_file, "prompts file"):
+            try:
                 title = row["title"]
                 if isinstance(title, list):  # annotated record: surfaces only
                     title = " ".join(t[0] for t in title)
-                keywords = tuple(row.get("keywords", ()))
-                yield str(row["id"]), title, int(row["year"]), keywords
+                year, keywords = row["year"], row.get("keywords", [])
+                if isinstance(year, (bool, float)):  # int() would truncate silently
+                    raise TypeError(f"year {year!r} is not an integer")
+                if not isinstance(title, str) or not isinstance(keywords, list) \
+                        or not all(isinstance(k, str) for k in keywords):
+                    raise TypeError("the title must be a string and keywords a list of strings")
+                prompt = str(row["id"]), title, int(year), tuple(keywords)
+            except KeyError as e:
+                raise DataError(f"{args.prompts_file}:{lineno}: prompt lacks the field {e}") from None
+            except (TypeError, ValueError, IndexError) as e:
+                raise DataError(f"{args.prompts_file}:{lineno}: malformed prompt ({e})") from None
+            yield prompt
     else:
         if args.title is None or args.year is None:
             raise ConfigError("generate needs either --prompts-file or --title and --year")
@@ -217,18 +244,24 @@ def _prompt_rows(args):
 
 
 def _cmd_generate(args) -> int:
+    # Flags and prompts are checked before the checkpoint is read; row i gets seed + i.
+    template = GenerationRequest(title="", year=0, max_tokens=args.n,
+                                 temperature=args.temperature, top_k=args.top_k,
+                                 top_p=args.top_p, seed=args.seed)
+    try:
+        template.validate()
+    except ValueError as e:
+        raise ConfigError(f"generate: {e}") from None
+    prompts = list(_prompt_rows(args))
     ckpt = load_checkpoint(args.checkpoint)
     tok, cvocab, labels = _load_artifacts(args.tokenizer, args.vocab)
     if ckpt.model_config.token_vocab != tok.vocab_size or ckpt.model_config.cond_vocab != cvocab.total:
         raise DataError("checkpoint vocabulary sizes do not match the supplied artifacts")
-    prompts = list(_prompt_rows(args))
 
     def run(item):
         i, (rid, title, year, keywords) = item
-        request = GenerationRequest(title=title, year=year, keywords=keywords,
-                                    max_tokens=args.n, temperature=args.temperature,
-                                    top_k=args.top_k, top_p=args.top_p,
-                                    seed=args.seed + i)
+        request = dataclasses.replace(template, title=title, year=year,
+                                      keywords=keywords, seed=args.seed + i)
         out = generate(ckpt.params, tok, cvocab, request)
         return {
             "id": rid,
@@ -261,8 +294,14 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    with open(args.generations, encoding="utf-8") as f:
-        generations = [json.loads(line) for line in f if line.strip()]
+    generations = []
+    for lineno, row in _jsonl_objects(args.generations, "generations file"):
+        sentences = row.get("sentences", [])
+        if isinstance(row.get("id"), (list, dict)) or not isinstance(row.get("title", ""), str) \
+                or not isinstance(sentences, list) or not all(isinstance(s, str) for s in sentences):
+            raise DataError(f"{args.generations}:{lineno}: a generation needs a scalar id, "
+                            "a string title and a list of sentence strings")
+        generations.append(row)
     references = {rec.id: rec.sentence_texts() for rec in load_records(args.references)}
     df = met.load_df(args.df)
     report = met.evaluate(generations, references, df, workers=args.workers)

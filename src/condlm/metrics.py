@@ -54,11 +54,12 @@ def _bleu_precisions(candidate: Sequence[str], references: Sequence[Sequence[str
         if total == 0:
             out.append(0.0)
             continue
-        clipped = 0
-        for gram, count in cand_counts.items():
-            best = max((Counter(ngrams(r, n))[gram] for r in references), default=0)
-            clipped += min(count, best)
-        out.append(clipped / total)
+        # Clip each count by its most frequent reference occurrence: the
+        # intersection with the union (elementwise max) of the references.
+        best: Counter = Counter()
+        for r in references:
+            best |= Counter(ngrams(r, n))
+        out.append(sum((cand_counts & best).values()) / total)
     return out
 
 
@@ -141,9 +142,10 @@ def _min_chunks_exact(cand: Sequence[str], ref: Sequence[str],
     total = sum(quota.values())
     best = [total + 1]
     nodes = [0]
+    left = dict(quota)  # quota still to match; updated in place, restored on return
+    used: set[int] = set()
 
-    def dfs(i: int, left: Mapping[str, int], used: set[int],
-            prev_ref: int | None, chunks: int, matched: int):
+    def dfs(i: int, prev_ref: int | None, chunks: int, matched: int):
         nodes[0] += 1
         if nodes[0] > budget:
             raise TimeoutError
@@ -158,22 +160,22 @@ def _min_chunks_exact(cand: Sequence[str], ref: Sequence[str],
         remaining_cand[w] -= 1
         q = left.get(w, 0)
         if q > 0:
+            left[w] = q - 1
             for j in ref_positions[w]:
                 if j in used:
                     continue
                 new_chunks = chunks + (0 if prev_ref is not None and j == prev_ref + 1 else 1)
-                left2 = dict(left)
-                left2[w] = q - 1
                 used.add(j)
-                dfs(i + 1, left2, used, j, new_chunks, matched + 1)
+                dfs(i + 1, j, new_chunks, matched + 1)
                 used.discard(j)
+            left[w] = q
         # Skip this occurrence only if the quota is still satisfiable later.
         if remaining_cand[w] >= q:
-            dfs(i + 1, left, used, None, chunks, matched)
+            dfs(i + 1, None, chunks, matched)
         remaining_cand[w] += 1
 
     try:
-        dfs(0, dict(quota), set(), None, 0, 0)
+        dfs(0, None, 0, 0)
     except TimeoutError:
         return None
     return best[0]
@@ -283,14 +285,19 @@ def load_df(path) -> DfCorpus:
         raise DataError(f"cannot read document-frequency file {path}: {e}") from None
     if not lines or not lines[0].startswith("#documents\t"):
         raise DataError(f"{path} is not a document-frequency file")
-    doc_count = int(lines[0].split("\t")[1])
     df: dict[int, dict[tuple[str, ...], int]] = {}
-    for line in lines[1:]:
-        if not line:
-            continue
-        gram_text, c = line.split("\t")
-        gram = tuple(gram_text.split(" "))
-        df.setdefault(len(gram), {})[gram] = int(c)
+    for lineno, line in enumerate(lines, start=1):
+        fields = line.split("\t")
+        try:
+            if lineno == 1:
+                doc_count = int(fields[1])
+            elif line:
+                if len(fields) != 2:
+                    raise ValueError(f"expected gram<TAB>count, got {line!r}")
+                gram = tuple(fields[0].split(" "))
+                df.setdefault(len(gram), {})[gram] = int(fields[1])
+        except ValueError as e:
+            raise DataError(f"{path}:{lineno}: {e}") from None
     return DfCorpus(doc_count, df)
 
 
@@ -419,7 +426,7 @@ def _score_sentence(cand_tokens, ref_token_sents, df, title_tokens) -> dict[str,
 
 
 def _score_generation(row: Mapping, ref_sentences: list[str], df: DfCorpus) -> list[dict[str, float]]:
-    ref_tokens = [tokenize(s) for s in ref_sentences if tokenize(s)]
+    ref_tokens = [t for t in map(tokenize, ref_sentences) if t]
     if not ref_tokens:
         return []
     title_tokens = tokenize(row.get("title", ""))

@@ -3,9 +3,9 @@
 Text is lowercased and split on whitespace; each word gets a leading
 word-boundary marker (U+2581) and is segmented independently. A piece
 inventory with log-probabilities is fit by EM over the segmentation
-lattice, then pruned down to the target size. Encoding is either the
-Viterbi (max-likelihood) segmentation or a sample from the exact lattice
-posterior at a given temperature.
+lattice, then pruned down to the target size. One lattice pass,
+``_segment``, gives either the Viterbi (max-likelihood) segmentation or a
+sample from the exact lattice posterior at a given temperature.
 
 Ids 0..3 are reserved: pad, unknown, start-of-abstract, end-of-abstract.
 Unknown characters segment as single-char unknown arcs.
@@ -25,6 +25,7 @@ MARKER = "▁"  # word-boundary marker, one per word start
 MAX_PIECE_LEN = 6  # seed pieces are substrings up to this length
 PRUNE_STEP = 0.2   # fraction of prunable pieces dropped per outer round
 UNK_SCORE = -100.0  # lattice arc score for a character no piece covers
+EM_STEPS = 2       # EM steps between pruning rounds
 
 PAD_ID = 0
 UNK_ID = 1
@@ -91,66 +92,42 @@ def _arcs(word: str, pieces: dict[str, float], max_len: int | None = None):
     return arcs
 
 
-def _viterbi_word(word: str, pieces: dict[str, float]) -> tuple[list[str | None], float]:
-    """Best segmentation of one marked word: (pieces, total score).
+def _segment(word: str, pieces: dict[str, float], temperature: float = 0.0,
+             rng: np.random.Generator | None = None) -> tuple[list[str | None], float]:
+    """Segment one marked word: (pieces, score); ``None`` is an unknown char.
 
-    ``None`` entries are unknown single characters.
-    """
+    One forward pass over the lattice arcs grouped by end position. At
+    temperature <= 0 it takes the max, and the walk back follows the first
+    best arc in ascending start order: the Viterbi path and its score.
+    Otherwise it takes log-sum-exp of the tempered scores, and the walk back
+    draws each arc from ``rng``: an exact sample with probability
+    proportional to likelihood ** (1/temperature), scored by the tempered
+    log partition."""
     n = len(word)
-    best = [float("-inf")] * (n + 1)
-    back: list[tuple[int, str | None] | None] = [None] * (n + 1)
-    best[0] = 0.0
-    arcs_at = [[] for _ in range(n)]
+    viterbi = temperature <= 0
+    inv = 1.0 if viterbi else 1.0 / temperature
+    into: list[list[tuple[int, str | None, float]]] = [[] for _ in range(n + 1)]
     for i, j, piece, lp in _arcs(word, pieces):
-        arcs_at[i].append((j, piece, lp))
-    for i in range(n):
-        if best[i] == float("-inf"):
-            continue
-        for j, piece, lp in arcs_at[i]:
-            s = best[i] + lp
-            if s > best[j]:
-                best[j] = s
-                back[j] = (i, piece)
-    out: list[str | None] = []
-    pos = n
-    while pos > 0:
-        i, piece = back[pos]
-        out.append(piece)
-        pos = i
-    out.reverse()
-    return out, best[n]
-
-
-def _sample_word(word: str, pieces: dict[str, float], temperature: float,
-                 rng: np.random.Generator) -> list[str | None]:
-    """Sample a segmentation with probability proportional to its
-    lattice likelihood raised to 1/temperature (forward filter, backward
-    sample). temperature -> 0 recovers the Viterbi path."""
-    if temperature <= 0:
-        return _viterbi_word(word, pieces)[0]
-    n = len(word)
-    inv = 1.0 / temperature
-    arcs_into = [[] for _ in range(n + 1)]
-    for i, j, piece, lp in _arcs(word, pieces):
-        arcs_into[j].append((i, piece, lp * inv))
-    alpha = np.full(n + 1, -np.inf)
-    alpha[0] = 0.0
+        into[j].append((i, piece, lp * inv))
+    reduce = max if viterbi else _logsumexp
+    alpha = [0.0] * (n + 1)
+    incoming: list = [None] * (n + 1)  # scores of the arcs into each position
     for j in range(1, n + 1):
-        scores = [alpha[i] + lp for i, _, lp in arcs_into[j]]
-        if scores:
-            alpha[j] = _logsumexp(scores)
+        scores = incoming[j] = [alpha[i] + lp for i, _, lp in into[j]]
+        alpha[j] = reduce(scores) if scores else -math.inf
     out: list[str | None] = []
     pos = n
     while pos > 0:
-        options = arcs_into[pos]
-        weights = np.array([alpha[i] + lp for i, _, lp in options])
-        weights = np.exp(weights - weights.max())
-        weights /= weights.sum()
-        i, piece, _ = options[rng.choice(len(options), p=weights)]
+        scores = incoming[pos]
+        if viterbi:
+            k = scores.index(alpha[pos])
+        else:
+            weights = np.exp(np.array(scores) - max(scores))
+            k = rng.choice(len(scores), p=weights / weights.sum())
+        pos, piece, _ = into[pos][k]
         out.append(piece)
-        pos = i
     out.reverse()
-    return out
+    return out, alpha[n]
 
 
 def _logsumexp(xs) -> float:
@@ -163,15 +140,12 @@ def _logsumexp(xs) -> float:
 def _encode_word(model: TokenizerModel, word: str,
                  temperature: float | None = None,
                  rng: np.random.Generator | None = None) -> list[int]:
-    if temperature is None:
-        cached = model._word_cache.get(word)
-        if cached is not None:
-            return cached
-        seg, _ = _viterbi_word(word, model.pieces)
-        ids = [UNK_ID if p is None else model.id_of[p] for p in seg]
-        model._word_cache[word] = ids
+    if temperature is None:  # Viterbi, cached per word
+        ids = model._word_cache.get(word)
+        if ids is None:
+            ids = model._word_cache[word] = _encode_word(model, word, 0.0)
         return ids
-    seg = _sample_word(word, model.pieces, temperature, rng)
+    seg, _ = _segment(word, model.pieces, temperature, rng)
     return [UNK_ID if p is None else model.id_of[p] for p in seg]
 
 
@@ -273,20 +247,21 @@ def _prune(pieces: dict[str, float], word_counts: Counter, target_pieces: int) -
         return pieces
     expected: Counter = Counter()
     for word, freq in word_counts.items():
-        seg, _ = _viterbi_word(word, pieces)
+        seg, _ = _segment(word, pieces)
         for piece in seg:
             if piece is not None:
                 expected[piece] += freq
     scores = []
+    rest = dict(pieces)  # one shared copy: each piece is popped, scored, restored
     for p in prunable:
         count = expected.get(p, 0)
         if count == 0:
             scores.append((0.0, p))
             continue
-        rest = dict(pieces)
-        del rest[p]
-        _, alt = _viterbi_word(p, rest)
-        scores.append((count * (pieces[p] - alt), p))
+        lp = rest.pop(p)
+        _, alt = _segment(p, rest)
+        rest[p] = lp
+        scores.append((count * (lp - alt), p))
     scores.sort()
     n_drop = min(max(1, int(len(prunable) * PRUNE_STEP)), len(pieces) - target_pieces)
     doomed = {p for _, p in scores[:n_drop]}
@@ -294,7 +269,7 @@ def _prune(pieces: dict[str, float], word_counts: Counter, target_pieces: int) -
 
 
 def train_unigram(sentences, target_vocab: int, seed: int = 0,
-                  em_steps: int = 2, sample: int | None = None) -> TokenizerModel:
+                  sample: int | None = None) -> TokenizerModel:
     """Fit the piece inventory on an iterable of sentences.
 
     ``target_vocab`` counts the four specials. ``sample`` caps the number of
@@ -319,7 +294,7 @@ def train_unigram(sentences, target_vocab: int, seed: int = 0,
     target_pieces = target_vocab - NUM_SPECIALS
 
     while True:
-        for _ in range(em_steps):
+        for _ in range(EM_STEPS):
             pieces, _ = _em_step(pieces, word_counts)
         if len(pieces) <= target_pieces:
             break
@@ -353,24 +328,25 @@ def load_tokenizer(path) -> TokenizerModel:
         raise DataError(f"cannot read tokenizer model {path}: {e}") from None
     if not lines or not lines[0].startswith("#version\t"):
         raise DataError(f"{path} is not a tokenizer model (missing version line)")
-    version = int(lines[0].split("\t")[1])
-    if version != FORMAT_VERSION:
-        raise DataError(f"unsupported tokenizer format version {version}")
     pieces: dict[str, float] = {}
-    id_of: dict[str, int] = {}
-    piece_of: list[str] = []
-    next_id = NUM_SPECIALS
-    for line in lines[1:]:
-        if line.startswith("#special\t"):
-            _, name, sid = line.split("\t")
-            if SPECIAL_NAMES[int(sid)] != name:
-                raise DataError(f"unexpected special assignment {name}={sid} in {path}")
-            continue
-        if not line:
-            continue
-        piece, lp = line.split("\t")
-        pieces[piece] = float(lp)
-        id_of[piece] = next_id
-        piece_of.append(piece)
-        next_id += 1
-    return TokenizerModel(pieces, id_of=id_of, piece_of=piece_of)
+    for lineno, line in enumerate(lines, start=1):
+        fields = line.split("\t")
+        try:
+            if lineno == 1:
+                if int(fields[1]) != FORMAT_VERSION:
+                    raise ValueError(f"unsupported tokenizer format version {fields[1]}")
+            elif line.startswith("#special\t"):
+                if len(fields) != 3 or fields[1] not in SPECIAL_NAMES \
+                        or SPECIAL_NAMES.index(fields[1]) != int(fields[2]):
+                    raise ValueError(f"unexpected special assignment {line!r}")
+            elif line:
+                if len(fields) != 2 or fields[0] in pieces:
+                    raise ValueError(f"expected one new piece<TAB>log-probability, got {line!r}")
+                pieces[fields[0]] = float(fields[1])
+        except ValueError as e:
+            raise DataError(f"{path}:{lineno}: {e}") from None
+    try:  # ids follow file order
+        return TokenizerModel(pieces, id_of={p: NUM_SPECIALS + i for i, p in enumerate(pieces)},
+                              piece_of=list(pieces))
+    except ValueError as e:
+        raise DataError(f"{path}: {e}") from None

@@ -77,22 +77,38 @@ def save_condition_vocab(vocab: ConditionVocab, path) -> None:
             f.write(f"keyword\t{kw}\t{kid}\n")
 
 
-def load_condition_vocab(path) -> ConditionVocab:
+def _rows(path, what: str, kinds: tuple[str, ...]):
+    """(line number, kind, key, integer id) for each non-blank line; a line
+    of another shape or kind is a DataError naming the file and line."""
     try:
         with open(path, encoding="utf-8") as f:
-            rows = [line.split("\t") for line in f.read().splitlines() if line]
+            lines = f.read().splitlines()
     except OSError as e:
-        raise DataError(f"cannot read condition vocabulary {path}: {e}") from None
+        raise DataError(f"cannot read {what} {path}: {e}") from None
+    for lineno, line in enumerate(lines, start=1):
+        if not line:
+            continue
+        row = line.split("\t")
+        if len(row) != 3 or row[0] not in kinds:
+            raise DataError(f"{path}:{lineno}: malformed {what} row {line!r}")
+        try:
+            row_id = int(row[2])
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: id {row[2]!r} is not an integer") from None
+        yield lineno, row[0], row[1], row_id
+
+
+def load_condition_vocab(path) -> ConditionVocab:
     years = {}
     keyword_ids = {}
-    for row in rows:
-        if len(row) != 3 or row[0] not in ("year", "keyword"):
-            raise DataError(f"malformed condition vocabulary row {row!r} in {path}")
-        kind, key, cid = row
-        if kind == "year":
-            years[int(key)] = int(cid)
-        else:
-            keyword_ids[key] = int(cid)
+    for lineno, kind, key, cid in _rows(path, "condition vocabulary", ("year", "keyword")):
+        if kind == "keyword":
+            keyword_ids[key] = cid
+            continue
+        try:
+            years[int(key)] = cid
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: year {key!r} is not an integer") from None
     if not years:
         raise DataError(f"condition vocabulary {path} has no year entries")
     base = min(years)
@@ -155,17 +171,9 @@ def save_label_vocabs(vocabs: LabelVocabs, path) -> None:
 
 
 def load_label_vocabs(path) -> LabelVocabs:
-    try:
-        with open(path, encoding="utf-8") as f:
-            rows = [line.split("\t") for line in f.read().splitlines() if line]
-    except OSError as e:
-        raise DataError(f"cannot read label vocabulary {path}: {e}") from None
     tables: dict[str, dict[str, int]] = {"pos": {}, "dep": {}, "ent": {}}
-    for row in rows:
-        if len(row) != 3 or row[0] not in tables:
-            raise DataError(f"malformed label vocabulary row {row!r} in {path}")
-        kind, label, lid = row
-        tables[kind][label] = int(lid)
+    for _, kind, label, lid in _rows(path, "label vocabulary", tuple(tables)):
+        tables[kind][label] = lid
     for kind, table in tables.items():
         if table.get(NO_LABEL) != 0:
             raise DataError(f"label vocabulary {path} lacks the {kind} no-label entry at id 0")

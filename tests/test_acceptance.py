@@ -231,7 +231,7 @@ def test_criterion_06_tokenizer(toy_records, toy_tok):
         for n in range(1, 9):
             for chars in itertools.product("ab", repeat=n):
                 word = tk.MARKER + "".join(chars)
-                _, score = tk._viterbi_word(word, pieces)
+                _, score = tk._segment(word, pieces)
                 if not math.isclose(score, o_best_segmentation_score(word, pieces),
                                     rel_tol=0, abs_tol=1e-9):
                     vit_errors += 1

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -207,6 +208,70 @@ def test_generate_names_the_truncated_tensor(workdir, tmp_path, capsys):
                      "--tokenizer", str(workdir["tok"]), "--vocab", str(workdir["vocab"]),
                      "--title", "the probe", "--year", "1996"]) == 2
     assert f"tensor {last} runs past the payload" in capsys.readouterr().err
+
+
+def _damaged_run(workdir, tmp_path, target, text):
+    """Write ``text`` as the damaged ``target`` artifact and return the argv
+    of a generate or evaluate call that reads it."""
+    prompt = {"id": "p", "title": "the probe", "year": 1996, "keywords": []}
+    ok = tmp_path / "ok.jsonl"
+    write_jsonl(ok, [prompt])
+    bad = tmp_path / "bad.txt"
+    vocab = tmp_path / "vocab"
+    shutil.copytree(workdir["vocab"], vocab)
+    if target in ("conditions", "labels"):
+        bad = vocab / f"{target}.tsv"
+    bad.write_text(text, encoding="utf-8")
+    generate = ["generate", "--checkpoint", str(workdir["final"]),
+                "--tokenizer", str(bad if target == "tokenizer" else workdir["tok"]),
+                "--vocab", str(vocab), "--prompts-file", str(bad if target == "prompts" else ok)]
+    if target in ("prompts", "tokenizer", "conditions", "labels"):
+        return generate, bad
+    return ["evaluate", "--generations", str(bad if target == "generations" else ok),
+            "--references", str(workdir["corpus"]),
+            "--df", str(bad if target == "df" else workdir["df"]),
+            "--out", str(tmp_path / "report.json")], bad
+
+
+@pytest.mark.parametrize("target,text,what", [
+    pytest.param("prompts", "[1, 2]\n", "not a JSON object", id="prompt-array"),
+    pytest.param("prompts", '{"id": "p", "title": "t", \n', "not valid JSON", id="prompt-broken-json"),
+    pytest.param("prompts", '{"id": "p", "year": 1996}\n', "lacks the field 'title'",
+                 id="prompt-no-title"),
+    pytest.param("prompts", '{"id": "p", "title": "t", "year": "1990x"}\n', "1990x",
+                 id="prompt-bad-year"),
+    pytest.param("prompts", '{"id": "p", "title": "t", "year": 1996.9}\n', "1996.9",
+                 id="prompt-fractional-year"),
+    pytest.param("prompts", '{"id": "p", "title": "t", "year": 1996, "keywords": "k"}\n',
+                 "keywords a list of strings", id="prompt-keywords-string"),
+    pytest.param("generations", "[1, 2]\n", "not a JSON object", id="generation-array"),
+    pytest.param("generations", '{"id": "p", "sentences": "one"}\n', "list of sentence strings",
+                 id="generation-sentences-string"),
+    pytest.param("tokenizer", "#version\t1\n#special\tpad\t9\n", "pad\\t9",
+                 id="tokenizer-special-id"),
+    pytest.param("tokenizer", "#version\t1\n▁a\tlow\n", "low", id="tokenizer-logprob"),
+    pytest.param("conditions", "year\t1990x\t0\n", "1990x", id="conditions-year"),
+    pytest.param("labels", "pos\t<none>\tzero\n", "zero", id="labels-id"),
+    pytest.param("df", "#documents\t3\nthe cat\tmany\n", "many", id="df-count"),
+])
+def test_damaged_input_exits_two_naming_the_file(workdir, tmp_path, capsys, target, text, what):
+    argv, bad = _damaged_run(workdir, tmp_path, target, text)
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{bad}:" in err and what in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--n", "0"), ("--top-k", "0"), ("--top-p", "1.5"), ("--temperature", "-1")])
+def test_bad_generate_flags_exit_one_before_loading(workdir, tmp_path, capsys, flag, value):
+    code = cli.main(["generate", "--checkpoint", str(tmp_path / "missing.bin"),
+                     "--tokenizer", str(workdir["tok"]), "--vocab", str(workdir["vocab"]),
+                     "--title", "the probe", "--year", "1996", flag, value])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("configuration error: generate: ") and value in err
 
 
 # --- exit codes and argument handling ----------------------------------------------

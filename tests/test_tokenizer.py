@@ -27,7 +27,7 @@ def test_special_ids_fixed():
 
 
 def test_viterbi_prefers_single_piece():
-    seg, score = tk._viterbi_word("▁ab", HAND)
+    seg, score = tk._segment("▁ab", HAND)
     assert seg == ["▁", "ab"]
     assert score == pytest.approx(-1.5, abs=1e-12)
 
@@ -36,7 +36,7 @@ def test_viterbi_matches_enumeration_on_hand_vocab():
     for length in range(1, 9):
         for chars in itertools.product("ab", repeat=length):
             word = "▁" + "".join(chars)
-            seg, score = tk._viterbi_word(word, HAND)
+            seg, score = tk._segment(word, HAND)
             assert None not in seg
             assert score == pytest.approx(sum(HAND[p] for p in seg), abs=1e-12)
             assert score == pytest.approx(
@@ -53,9 +53,41 @@ def test_viterbi_matches_enumeration_on_random_vocabs():
         for length in range(1, 9):
             for chars in itertools.product("ab", repeat=length):
                 word = "▁" + "".join(chars)
-                _, score = tk._viterbi_word(word, pieces)
+                _, score = tk._segment(word, pieces)
                 assert score == pytest.approx(
                     o_best_segmentation_score(word, pieces), abs=1e-9)
+
+
+def test_segment_tie_takes_first_arc_in_start_order():
+    # "▁"+"a"+"b" and "▁"+"ab" both score -2; into the last position the arc
+    # from start 1 ("ab") comes before the one from start 2 ("b")
+    tied = {"▁": 0.0, "a": -1.0, "b": -1.0, "ab": -2.0}
+    assert tk._segment("▁ab", tied) == (["▁", "ab"], -2.0)
+
+
+_PIECE_POOL = ["▁", "a", "b", "ab", "ba", "aa", "bb", "aba", "bab", "▁a", "▁b", "abab"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(st.sampled_from(_PIECE_POOL),
+                       st.sampled_from([-0.5, -1.0, -1.5, -2.0, -3.25]), min_size=1),
+       st.text(alphabet="ab", max_size=8),
+       st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+       st.integers(0, 2**32 - 1))
+def test_segment_matches_enumeration(pieces, chars, temperature, seed):
+    word = "▁" + chars
+    segs = list(o_segmentations(word, pieces))
+    seg, score = tk._segment(word, pieces, temperature, np.random.default_rng(seed))
+    if not segs:  # some character has no piece: the lattice falls back to unknown arcs
+        assert None in seg
+        return
+    assert seg in segs
+    if temperature == 0.0:
+        assert score == pytest.approx(o_best_segmentation_score(word, pieces), abs=1e-9)
+        assert score == pytest.approx(sum(pieces[p] for p in seg), abs=1e-12)
+    else:  # the tempered log partition over every segmentation
+        z = tk._logsumexp([sum(pieces[p] for p in s) / temperature for s in segs])
+        assert score == pytest.approx(z, abs=1e-9)
 
 
 def test_sampled_segmentation_frequency():
