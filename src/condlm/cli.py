@@ -302,7 +302,9 @@ def _cmd_evaluate(args) -> int:
             raise DataError(f"{args.generations}:{lineno}: a generation needs a scalar id, "
                             "a string title and a list of sentence strings")
         generations.append(row)
-    references = {rec.id: rec.sentence_texts() for rec in load_records(args.references)}
+    # Refused, not skipped: a lost reference would silently change the scores.
+    references = {rec.id: rec.sentence_texts()
+                  for rec in load_records(args.references, strict=True)}
     df = met.load_df(args.df)
     report = met.evaluate(generations, references, df, workers=args.workers)
     met.save_report(report, args.out)

@@ -84,10 +84,12 @@ def _parse_record(obj) -> AnnotatedRecord:
 
 class RecordStream:
     """Iterate records in a JSONL file, skipping malformed lines with a
-    warning. ``skipped`` counts them after iteration."""
+    warning. ``skipped`` counts them after iteration. A ``strict`` stream
+    raises ``DataError`` naming the file and line instead."""
 
-    def __init__(self, path):
+    def __init__(self, path, strict: bool = False):
         self.path = path
+        self.strict = strict
         self.skipped = 0
         try:
             self._handle = open(path, encoding="utf-8")
@@ -102,14 +104,16 @@ class RecordStream:
                 try:
                     yield _parse_record(json.loads(line))
                 except (json.JSONDecodeError, KeyError, ValueError, TypeError) as e:
+                    if self.strict:
+                        raise DataError(f"{self.path}:{lineno}: malformed record ({e})") from None
                     self.skipped += 1
                     log.warning("%s:%d: skipping malformed record (%s)", self.path, lineno, e)
         if self.skipped:
             log.warning("%s: skipped %d malformed line(s)", self.path, self.skipped)
 
 
-def load_records(path) -> RecordStream:
-    return RecordStream(path)
+def load_records(path, strict: bool = False) -> RecordStream:
+    return RecordStream(path, strict)
 
 
 def _split_key(seed: int, record_id: str) -> float:

@@ -9,6 +9,20 @@ with the fragmentation penalty; ROUGE-L is the LCS F1 against the best
 reference; CIDEr is TF-IDF cosine averaged over references and n-gram
 orders, and CIDEr-Title additionally zeroes the weight of every n-gram
 that appears in the title.
+
+METEOR's chunk count is the minimum over all maximal alignments, found as
+m matches minus the most bigram links (a link maps a candidate bigram onto
+a reference bigram with the same two words). A greedy alignment bounds it
+from above and the shared bigram counts from below; when the bounds differ,
+a branch and bound over the candidate's bigram positions closes the gap.
+Only a search that exceeds ``_CHUNK_BUDGET`` nodes falls back to the
+greedy count, which in practice takes long sentences over a handful of
+distinct words.
+
+``evaluate`` prepares each row's references once (BLEU clip counts and
+lengths, CIDEr vectors and norms with and without the title's n-grams) and
+scores every sentence of the row against them, with the same arithmetic as
+the public per-metric functions.
 """
 
 from __future__ import annotations
@@ -45,31 +59,43 @@ def ngrams(tokens: Sequence[str], n: int) -> list[tuple[str, ...]]:
 # BLEU
 
 
-def _bleu_precisions(candidate: Sequence[str], references: Sequence[Sequence[str]],
-                     max_order: int) -> list[float]:
-    out = []
+def _bleu_clips(references: Sequence[Sequence[str]], max_order: int) -> list[Counter]:
+    """Per order, the union (elementwise max) of the reference n-gram
+    counters: a candidate count is clipped by its most frequent reference
+    occurrence."""
+    clips = []
     for n in range(1, max_order + 1):
-        cand_counts = Counter(ngrams(candidate, n))
-        total = sum(cand_counts.values())
-        if total == 0:
-            out.append(0.0)
-            continue
-        # Clip each count by its most frequent reference occurrence: the
-        # intersection with the union (elementwise max) of the references.
         best: Counter = Counter()
         for r in references:
             best |= Counter(ngrams(r, n))
-        out.append(sum((cand_counts & best).values()) / total)
+        clips.append(best)
+    return clips
+
+
+def _bleu_precisions(candidate: Sequence[str], clips: Sequence[Counter]) -> list[float]:
+    """Clipped n-gram precision for orders 1..len(clips)."""
+    out = []
+    for n, best in enumerate(clips, start=1):
+        cand_counts = Counter(ngrams(candidate, n))
+        total = sum(cand_counts.values())
+        out.append(sum((cand_counts & best).values()) / total if total else 0.0)
     return out
 
 
-def _brevity_penalty(candidate: Sequence[str], references: Sequence[Sequence[str]]) -> float:
+def _brevity_penalty(candidate: Sequence[str], ref_lengths: Sequence[int]) -> float:
     c = len(candidate)
     if c == 0:
         return 0.0
     # Closest reference length; ties go to the shorter reference.
-    r = min((abs(len(ref) - c), len(ref)) for ref in references)[1]
+    r = min((abs(length - c), length) for length in ref_lengths)[1]
     return 1.0 if c > r else math.exp(1.0 - r / c)
+
+
+def _bleu_geometric(bp: float, precisions: Sequence[float]) -> float:
+    if any(p == 0.0 for p in precisions):
+        return 0.0
+    mean_log = sum(math.log(p) for p in precisions) / len(precisions)
+    return bp * math.exp(mean_log)
 
 
 def bleu(candidate: Sequence[str], references: Sequence[Sequence[str]],
@@ -78,8 +104,8 @@ def bleu(candidate: Sequence[str], references: Sequence[Sequence[str]],
     precision). ``max_order=1`` gives the unigram-only variant."""
     if not references:
         raise ValueError("bleu needs at least one reference")
-    bp = _brevity_penalty(candidate, references)
-    return sum(bp * p for p in _bleu_precisions(candidate, references, max_order))
+    bp = _brevity_penalty(candidate, [len(r) for r in references])
+    return sum(bp * p for p in _bleu_precisions(candidate, _bleu_clips(references, max_order)))
 
 
 def bleu_geometric(candidate: Sequence[str], references: Sequence[Sequence[str]],
@@ -88,11 +114,8 @@ def bleu_geometric(candidate: Sequence[str], references: Sequence[Sequence[str]]
     order precisions (zero if any order has no match)."""
     if not references:
         raise ValueError("bleu needs at least one reference")
-    precisions = _bleu_precisions(candidate, references, max_order)
-    if any(p == 0.0 for p in precisions):
-        return 0.0
-    mean_log = sum(math.log(p) for p in precisions) / max_order
-    return _brevity_penalty(candidate, references) * math.exp(mean_log)
+    return _bleu_geometric(_brevity_penalty(candidate, [len(r) for r in references]),
+                           _bleu_precisions(candidate, _bleu_clips(references, max_order)))
 
 
 # ---------------------------------------------------------------------------
@@ -100,15 +123,20 @@ def bleu_geometric(candidate: Sequence[str], references: Sequence[Sequence[str]]
 
 
 def _lcs_len(a: Sequence[str], b: Sequence[str]) -> int:
+    """Longest common subsequence length, bit-parallel over ``b`` (Allison
+    and Dix 1986, in Hyyrö's form): after each token of ``a``, the zero bits
+    of ``v`` mark the positions of ``b`` where the LCS row steps up."""
     if not a or not b:
         return 0
-    prev = [0] * (len(b) + 1)
+    masks: dict[str, int] = {}
+    for j, y in enumerate(b):
+        masks[y] = masks.get(y, 0) | 1 << j
+    full = (1 << len(b)) - 1
+    v = full
     for x in a:
-        cur = [0]
-        for j, y in enumerate(b, start=1):
-            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1]))
-        prev = cur
-    return prev[-1]
+        u = v & masks.get(x, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def rouge_l(candidate: Sequence[str], references: Sequence[Sequence[str]]) -> float:
@@ -132,53 +160,141 @@ def rouge_l(candidate: Sequence[str], references: Sequence[Sequence[str]]) -> fl
 
 def _min_chunks_exact(cand: Sequence[str], ref: Sequence[str],
                       quota: Mapping[str, int], budget: int) -> int | None:
-    """Minimum chunk count over all maximal exact-match alignments, by
-    depth-first search over which reference position each matched candidate
-    token maps to. Returns None when the node budget runs out."""
-    ref_positions: dict[str, list[int]] = {}
-    for j, w in enumerate(ref):
-        ref_positions.setdefault(w, []).append(j)
-    remaining_cand = Counter(cand)
-    total = sum(quota.values())
-    best = [total + 1]
-    nodes = [0]
-    left = dict(quota)  # quota still to match; updated in place, restored on return
-    used: set[int] = set()
+    """Minimum chunk count over all maximal exact-match alignments, or None
+    when the search would visit more than ``budget`` nodes.
 
-    def dfs(i: int, prev_ref: int | None, chunks: int, matched: int):
-        nodes[0] += 1
-        if nodes[0] > budget:
-            raise TimeoutError
-        if chunks >= best[0]:
-            return
-        if matched == total:
-            best[0] = min(best[0], chunks)
-            return
-        if i >= len(cand):
-            return
-        w = cand[i]
-        remaining_cand[w] -= 1
-        q = left.get(w, 0)
-        if q > 0:
-            left[w] = q - 1
-            for j in ref_positions[w]:
-                if j in used:
-                    continue
-                new_chunks = chunks + (0 if prev_ref is not None and j == prev_ref + 1 else 1)
-                used.add(j)
-                dfs(i + 1, j, new_chunks, matched + 1)
-                used.discard(j)
-            left[w] = q
-        # Skip this occurrence only if the quota is still satisfiable later.
-        if remaining_cand[w] >= q:
-            dfs(i + 1, None, chunks, matched)
-        remaining_cand[w] += 1
+    A link maps candidate bigram (i, i+1) onto reference bigram (j, j+1)
+    with the same two words, and chunks = m - links for m matches. Quotas
+    never limit links: a word's linked positions are matched one to one, so
+    there are at most min(c_w, r_w) of them, and single matches fill the
+    rest of each quota. So the minimum is m minus the most links.
 
-    try:
-        dfs(0, None, 0, 0)
-    except TimeoutError:
-        return None
-    return best[0]
+    ``_chunks_greedy`` gives an upper bound U. Each link uses its own
+    candidate and reference bigram occurrence, so
+    L = max(1, m - min(m - 1, sum over bigram types of
+    min(count_cand, count_ref))) is a lower bound, and U == L returns U
+    with no search. Otherwise a branch and bound walks the candidate bigram
+    positions with an explicit stack. A node holds the reference position
+    the current token continues from and the used reference positions; it
+    is pruned unless links so far plus, per bigram type, min(candidate
+    bigrams left, reference bigrams with both positions free) beat the best
+    links found, which start at U's."""
+    m = sum(quota.values())
+    if m == 0:
+        return 0
+    upper = _chunks_greedy(cand, ref, quota)
+    type_of: dict[tuple[str, str], int] = {}
+    ref_types = [type_of.setdefault(bigram, len(type_of)) for bigram in zip(ref, ref[1:])]
+    cand_types = [type_of.get(bigram, -1) for bigram in zip(cand, cand[1:])]
+    cand_left = [0] * len(type_of)  # candidate bigrams at the current position or later
+    ref_free = [0] * len(type_of)  # reference bigrams with both positions free
+    starts: list[list[int]] = [[] for _ in type_of]
+    for t in cand_types:
+        if t >= 0:
+            cand_left[t] += 1
+    for j, t in enumerate(ref_types):
+        ref_free[t] += 1
+        starts[t].append(j + 1)  # shifted, as below
+    slack = sum(map(min, cand_left, ref_free))  # kept equal to the sum as both change
+    most = min(m - 1, slack)
+    if upper == m - most:
+        return upper
+
+    # Reference positions are shifted up by one, so that 0 and n_ref + 1
+    # are permanently used sentinels and the two bigrams through a position
+    # never run off either end; pair[s] is the type of the reference bigram
+    # on shifted positions (s, s + 1), -1 where one of them is a sentinel.
+    n_bi, n_ref = len(cand_types), len(ref)
+    used = [True] + [False] * n_ref + [True]
+    pair = [-1] + ref_types + [-1]
+    best = m - upper  # most links found so far
+    links = nodes = 0
+    # Per bigram position: the moves still to try (popped from the end, so
+    # linking comes before not linking) and the move being tried, each the
+    # first reference position it uses (-1: no link), and the position the
+    # token there continues from (0: none). From a continued token a move
+    # uses one position; otherwise it starts a link on two.
+    moves: list[list[int]] = [[] for _ in range(n_bi)]
+    taken = [-1] * n_bi
+    prev = [0] * (n_bi + 1)
+
+    def use(s: int) -> None:
+        nonlocal slack
+        used[s] = True
+        for b, other in ((s - 1, s - 1), (s, s + 1)):  # the two bigrams through s
+            if not used[other]:  # it was free and no longer is
+                t = pair[b]
+                if ref_free[t] <= cand_left[t]:
+                    slack -= 1
+                ref_free[t] -= 1
+
+    def free(s: int) -> None:
+        nonlocal slack
+        used[s] = False
+        for b, other in ((s - 1, s - 1), (s, s + 1)):
+            if not used[other]:
+                t = pair[b]
+                if ref_free[t] < cand_left[t]:
+                    slack += 1
+                ref_free[t] += 1
+
+    level = 0
+    while True:
+        nodes += 1
+        if nodes > budget:
+            return None
+        expand = False
+        if level == n_bi:
+            if links > best:
+                best = links
+                if best == most:
+                    return m - best
+        else:
+            t, p = cand_types[level], prev[level]
+            cont = p and t >= 0 and pair[p] == t and not used[p + 1]
+            if links + slack + (cont and ref_free[t] < cand_left[t]) > best:
+                expand = True
+                if p:
+                    moves[level] = [-1, p + 1] if cont else [-1]
+                elif t >= 0:
+                    moves[level] = [-1] + [s for s in reversed(starts[t])
+                                           if not used[s] and not used[s + 1]]
+                else:
+                    moves[level] = [-1]
+                if t >= 0:  # the bigram at this position is no longer ahead
+                    if cand_left[t] <= ref_free[t]:
+                        slack -= 1
+                    cand_left[t] -= 1
+        if not expand:
+            # Undo moves up the stack until a position has one left to try.
+            level -= 1
+            while level >= 0:
+                s = taken[level]
+                if s >= 0:
+                    if not prev[level]:
+                        free(s + 1)
+                    free(s)
+                    links -= 1
+                if moves[level]:
+                    break
+                t = cand_types[level]
+                if t >= 0:
+                    if cand_left[t] < ref_free[t]:
+                        slack += 1
+                    cand_left[t] += 1
+                level -= 1
+            if level < 0:
+                return m - best
+        s = moves[level].pop()
+        taken[level] = s
+        if s >= 0:
+            use(s)
+            if not prev[level]:
+                s += 1
+                use(s)
+            links += 1
+        prev[level + 1] = max(s, 0)
+        level += 1
 
 
 def _chunks_greedy(cand: Sequence[str], ref: Sequence[str],
@@ -211,28 +327,35 @@ def _chunks_greedy(cand: Sequence[str], ref: Sequence[str],
     return chunks
 
 
-def _meteor_single(candidate: Sequence[str], ref: Sequence[str]) -> float:
-    cand_counts = Counter(candidate)
-    ref_counts = Counter(ref)
-    quota = {w: min(c, ref_counts[w]) for w, c in cand_counts.items() if w in ref_counts}
-    matches = sum(quota.values())
-    if matches == 0 or not candidate or not ref:
-        return 0.0
-    p = matches / len(candidate)
-    r = matches / len(ref)
-    fmean = p * r / (METEOR_ALPHA * p + (1.0 - METEOR_ALPHA) * r)
-    chunks = _min_chunks_exact(candidate, ref, quota, _CHUNK_BUDGET)
-    if chunks is None:
-        chunks = _chunks_greedy(candidate, ref, quota)
-    penalty = METEOR_GAMMA * (chunks / matches) ** METEOR_THETA
-    return fmean * (1.0 - penalty)
-
-
 def meteor(candidate: Sequence[str], references: Sequence[Sequence[str]]) -> float:
-    """Exact-match METEOR, best reference taken."""
+    """Exact-match METEOR, best reference taken. References are scored in
+    descending order of Fmean, and the rest skipped once an Fmean is at most
+    the best score so far: a score never exceeds its Fmean."""
     if not references:
         raise ValueError("meteor needs at least one reference")
-    return max(_meteor_single(candidate, ref) for ref in references)
+    cand_counts = Counter(candidate)
+    ranked = []
+    for ref in references:
+        ref_counts = Counter(ref)
+        quota = {w: min(c, ref_counts[w]) for w, c in cand_counts.items() if w in ref_counts}
+        matches = sum(quota.values())
+        if matches == 0:
+            continue
+        p = matches / len(candidate)
+        r = matches / len(ref)
+        fmean = p * r / (METEOR_ALPHA * p + (1.0 - METEOR_ALPHA) * r)
+        ranked.append((fmean, ref, quota, matches))
+    ranked.sort(key=lambda e: e[0], reverse=True)
+    best = 0.0
+    for fmean, ref, quota, matches in ranked:
+        if fmean <= best:
+            break
+        chunks = _min_chunks_exact(candidate, ref, quota, _CHUNK_BUDGET)
+        if chunks is None:
+            chunks = _chunks_greedy(candidate, ref, quota)
+        penalty = METEOR_GAMMA * (chunks / matches) ** METEOR_THETA
+        best = max(best, fmean * (1.0 - penalty))
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -301,38 +424,50 @@ def load_df(path) -> DfCorpus:
     return DfCorpus(doc_count, df)
 
 
-def _tfidf_vector(tokens: Sequence[str], n: int, df: DfCorpus,
-                  drop: set[tuple[str, ...]] | None = None) -> dict[tuple[str, ...], float]:
+_Vectors = list[tuple[dict, float]]  # per order 1..MAX_ORDER: (TF-IDF vector, its norm)
+
+
+def _with_norm(vec: dict) -> tuple[dict, float]:
+    return vec, math.sqrt(sum(w * w for w in vec.values()))
+
+
+def _tfidf_vectors(tokens: Sequence[str], df: DfCorpus) -> _Vectors:
     # Raw count x IDF. The usual normalization by total n-gram count cancels
     # in the cosine, so it is omitted.
-    vec: dict[tuple[str, ...], float] = {}
-    for gram, count in Counter(ngrams(tokens, n)).items():
-        if drop is not None and gram in drop:
-            continue
-        weight = count * df.idf(gram)
-        if weight != 0.0:
-            vec[gram] = weight
-    return vec
+    out = []
+    for n in range(1, MAX_ORDER + 1):
+        vec: dict[tuple[str, ...], float] = {}
+        for gram, count in Counter(ngrams(tokens, n)).items():
+            weight = count * df.idf(gram)
+            if weight != 0.0:
+                vec[gram] = weight
+        out.append(_with_norm(vec))
+    return out
 
 
-def _cosine(a: Mapping, b: Mapping) -> float:
+def _title_grams(title_tokens: Sequence[str]) -> list[set]:
+    return [set(ngrams(title_tokens, n)) for n in range(1, MAX_ORDER + 1)]
+
+
+def _drop_title(vectors: _Vectors, title_grams: Sequence[set]) -> _Vectors:
+    """The vectors with every n-gram of the title removed."""
+    return [_with_norm({g: w for g, w in vec.items() if g not in drop})
+            for (vec, _), drop in zip(vectors, title_grams)]
+
+
+def _cosine(a: dict, na: float, b: dict, nb: float) -> float:
     if not a or not b:
         return 0.0
     dot = sum(w * b[g] for g, w in a.items() if g in b)
-    na = math.sqrt(sum(w * w for w in a.values()))
-    nb = math.sqrt(sum(w * w for w in b.values()))
     if na == 0.0 or nb == 0.0:
         return 0.0
     return dot / (na * nb)
 
 
-def _cider_core(candidate: Sequence[str], references: Sequence[Sequence[str]],
-                df: DfCorpus, drop_by_order: Mapping[int, set] | None = None) -> float:
+def _cider_core(candidate: _Vectors, references: Sequence[_Vectors]) -> float:
     score = 0.0
-    for n in range(1, MAX_ORDER + 1):
-        drop = drop_by_order.get(n) if drop_by_order else None
-        cand_vec = _tfidf_vector(candidate, n, df, drop)
-        sims = [_cosine(cand_vec, _tfidf_vector(ref, n, df, drop)) for ref in references]
+    for n in range(MAX_ORDER):
+        sims = [_cosine(*candidate[n], *ref[n]) for ref in references]
         score += sum(sims) / len(sims)
     return (CIDER_SCALE / MAX_ORDER) * score
 
@@ -342,7 +477,7 @@ def cider(candidate: Sequence[str], references: Sequence[Sequence[str]],
     """Mean TF-IDF cosine per order, summed and scaled to [0, 10]."""
     if not references:
         raise ValueError("cider needs at least one reference")
-    return _cider_core(candidate, references, df)
+    return _cider_core(_tfidf_vectors(candidate, df), [_tfidf_vectors(r, df) for r in references])
 
 
 def cider_title(candidate: Sequence[str], references: Sequence[Sequence[str]],
@@ -352,8 +487,9 @@ def cider_title(candidate: Sequence[str], references: Sequence[Sequence[str]],
     nothing."""
     if not references:
         raise ValueError("cider_title needs at least one reference")
-    drop = {n: set(ngrams(title_tokens, n)) for n in range(1, MAX_ORDER + 1)}
-    return _cider_core(candidate, references, df, drop)
+    drop = _title_grams(title_tokens)
+    return _cider_core(_drop_title(_tfidf_vectors(candidate, df), drop),
+                       [_drop_title(_tfidf_vectors(r, df), drop) for r in references])
 
 
 # ---------------------------------------------------------------------------
@@ -413,15 +549,38 @@ def _histogram(values: Sequence[float], lo: float, hi: float) -> dict:
     return {"edges": edges, "masses": masses}
 
 
-def _score_sentence(cand_tokens, ref_token_sents, df, title_tokens) -> dict[str, float]:
+@dataclass
+class _RowReferences:
+    """One row's references and title, prepared once for all its sentences."""
+
+    tokens: list[list[str]]
+    lengths: list[int]
+    clips: list[Counter]  # BLEU clip counts per order
+    title_grams: list[set]
+    vectors: list[_Vectors]  # CIDEr vectors per reference
+    title_vectors: list[_Vectors]  # the same with the title's n-grams dropped
+
+    @classmethod
+    def build(cls, ref_tokens: list[list[str]], title_tokens: Sequence[str],
+              df: DfCorpus) -> "_RowReferences":
+        title_grams = _title_grams(title_tokens)
+        vectors = [_tfidf_vectors(r, df) for r in ref_tokens]
+        return cls(ref_tokens, [len(r) for r in ref_tokens], _bleu_clips(ref_tokens, MAX_ORDER),
+                   title_grams, vectors, [_drop_title(v, title_grams) for v in vectors])
+
+
+def _score_sentence(cand_tokens, refs: _RowReferences, df) -> dict[str, float]:
+    precisions = _bleu_precisions(cand_tokens, refs.clips)
+    bp = _brevity_penalty(cand_tokens, refs.lengths)
+    vectors = _tfidf_vectors(cand_tokens, df)
     return {
-        "bleu_1": bleu(cand_tokens, ref_token_sents, max_order=1),
-        "bleu_sum": bleu(cand_tokens, ref_token_sents),
-        "bleu_geometric": bleu_geometric(cand_tokens, ref_token_sents),
-        "rouge_l": rouge_l(cand_tokens, ref_token_sents),
-        "meteor": meteor(cand_tokens, ref_token_sents),
-        "cider": cider(cand_tokens, ref_token_sents, df),
-        "cider_title": cider_title(cand_tokens, ref_token_sents, df, title_tokens),
+        "bleu_1": bp * precisions[0],
+        "bleu_sum": sum(bp * p for p in precisions),
+        "bleu_geometric": _bleu_geometric(bp, precisions),
+        "rouge_l": rouge_l(cand_tokens, refs.tokens),
+        "meteor": meteor(cand_tokens, refs.tokens),
+        "cider": _cider_core(vectors, refs.vectors),
+        "cider_title": _cider_core(_drop_title(vectors, refs.title_grams), refs.title_vectors),
     }
 
 
@@ -429,13 +588,13 @@ def _score_generation(row: Mapping, ref_sentences: list[str], df: DfCorpus) -> l
     ref_tokens = [t for t in map(tokenize, ref_sentences) if t]
     if not ref_tokens:
         return []
-    title_tokens = tokenize(row.get("title", ""))
+    refs = _RowReferences.build(ref_tokens, tokenize(row.get("title", "")), df)
     scores = []
     for sentence in row.get("sentences", []):
         cand = tokenize(sentence)
         if not cand:
             continue
-        scores.append(_score_sentence(cand, ref_tokens, df, title_tokens))
+        scores.append(_score_sentence(cand, refs, df))
     return scores
 
 

@@ -263,6 +263,25 @@ def test_damaged_input_exits_two_naming_the_file(workdir, tmp_path, capsys, targ
     assert "Traceback" not in err
 
 
+def test_evaluate_refuses_damaged_reference_line(workdir, tmp_path, capsys):
+    # a truncated reference record is refused, not skipped: skipping it
+    # would score fewer references and still exit 0
+    lines = workdir["corpus"].read_text(encoding="utf-8").splitlines()
+    refs = tmp_path / "refs.jsonl"
+    refs.write_text("\n".join([lines[0][:300]] + lines[1:]) + "\n", encoding="utf-8")
+    first = json.loads(lines[1])
+    gen = tmp_path / "gen.jsonl"
+    write_jsonl(gen, [{"id": first["id"], "title": "the probe", "sentences": ["the probe ."]}])
+    report = tmp_path / "report.json"
+    code = cli.main(["evaluate", "--generations", str(gen), "--references", str(refs),
+                     "--df", str(workdir["df"]), "--out", str(report)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{refs}:1:" in err and "malformed record" in err
+    assert "Traceback" not in err
+    assert not report.exists()
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--n", "0"), ("--top-k", "0"), ("--top-p", "1.5"), ("--temperature", "-1")])
 def test_bad_generate_flags_exit_one_before_loading(workdir, tmp_path, capsys, flag, value):

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 
 import jsonschema
 import pytest
@@ -129,10 +130,62 @@ def test_meteor_chunk_minimization_over_duplicates():
 
 
 def test_meteor_greedy_fallback_on_budget():
-    quota = {"a": 3}
-    exact = mt._min_chunks_exact(T("a a a"), T("a a a"), quota, budget=2)
+    # greedy 3 chunks, link bound 2, exact 2: the bounds leave a search open
+    quota = {"a": 2, "b": 1}
+    exact = mt._min_chunks_exact(T("a a b"), T("a b a"), quota, budget=1)
     assert exact is None  # budget exhausted
-    assert mt._chunks_greedy(T("a a a"), T("a a a"), quota) == 1
+    assert mt._chunks_greedy(T("a a b"), T("a b a"), quota) == 3
+
+
+def _quota(cand, ref):
+    return {w: min(cand.count(w), ref.count(w)) for w in set(cand) & set(ref)}
+
+
+def _link_lower_bound(cand, ref, m):
+    # every link uses its own candidate and reference bigram occurrence
+    cand_bi, ref_bi = list(zip(cand, cand[1:])), list(zip(ref, ref[1:]))
+    shared = sum(min(cand_bi.count(b), ref_bi.count(b)) for b in set(cand_bi))
+    return max(1, m - min(m - 1, shared))
+
+
+small_pairs = st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_pairs, small_pairs)
+def test_min_chunks_exact_matches_oracle_within_bounds(cand, ref):
+    quota = _quota(cand, ref)
+    got = mt._min_chunks_exact(cand, ref, quota, mt._CHUNK_BUDGET)
+    assert got is not None
+    m, want = o_meteor_alignment(cand, ref)
+    assert got == want
+    if m:
+        assert _link_lower_bound(cand, ref, m) <= got <= mt._chunks_greedy(cand, ref, quota)
+
+
+def test_min_chunks_exact_solves_mid_size_pair():
+    # 31 x 31 tokens over ten words, like the mid-decode benchmark's pairs;
+    # the bounds (greedy 20, link bound 16) leave it to the search
+    words = T("one two three four five six seven eight nine ten")
+    rng = random.Random(0)
+    cand = [rng.choice(words) for _ in range(30)] + ["."]
+    ref = [rng.choice(words) for _ in range(30)] + ["."]
+    quota = _quota(cand, ref)
+    assert mt._chunks_greedy(cand, ref, quota) == 20
+    assert _link_lower_bound(cand, ref, sum(quota.values())) == 16
+    # 17 is the minimum an integer program over all maximal alignments finds
+    assert mt._min_chunks_exact(cand, ref, quota, mt._CHUNK_BUDGET) == 17
+
+
+@pytest.mark.parametrize("kind", ["identical", "shuffled", "random"])
+def test_meteor_long_sentence_scores_without_recursion(kind):
+    words = [f"w{i}" for i in range(10)]
+    rng = random.Random(1)
+    cand = [rng.choice(words) for _ in range(1500)]
+    ref = {"identical": cand,
+           "shuffled": rng.sample(cand, len(cand)),
+           "random": [rng.choice(words) for _ in range(1500)]}[kind]
+    assert 0.0 <= mt.meteor(cand, [ref]) <= 1.0
 
 
 # --- CIDEr ------------------------------------------------------------------------
@@ -232,6 +285,16 @@ def test_bleu_matches_oracle(cand, refs):
 @given(tokens, refsets)
 def test_rouge_matches_oracle(cand, refs):
     assert mt.rouge_l(cand, refs) == pytest.approx(o_rouge_l(cand, refs), abs=1e-12)
+
+
+long_tokens = st.lists(st.sampled_from(["a", "b", "c", "d", "e"]), min_size=1, max_size=90)
+
+
+@settings(max_examples=80, deadline=None)
+@given(long_tokens, long_tokens)
+def test_rouge_matches_oracle_past_one_machine_word(cand, ref):
+    # the bit-parallel LCS keeps one bit per reference token
+    assert mt.rouge_l(cand, [ref]) == pytest.approx(o_rouge_l(cand, [ref]), abs=1e-12)
 
 
 @settings(max_examples=120, deadline=None)
