@@ -262,16 +262,23 @@ def dropout(a, p: float, rng: np.random.Generator | None = None,
     return mul(a, constant(keep))
 
 
-def embedding_gather(table: Tensor, ids) -> Tensor:
-    """Rows of ``table`` selected by an integer id array."""
+def gather_rows(table: np.ndarray, ids) -> np.ndarray:
+    """``table[ids]`` for an integer id array; an id outside the table is
+    an error rather than a wrapped-around row."""
     ids = np.asarray(ids)
     if not np.issubdtype(ids.dtype, np.integer):
         raise ValueError(f"embedding ids must be integers, got dtype {ids.dtype}")
-    n = table.data.shape[0]
+    n = table.shape[0]
     if ids.size and (ids.min() < 0 or ids.max() >= n):
         bad = int(ids.min()) if ids.min() < 0 else int(ids.max())
         raise ValueError(f"embedding id {bad} out of range for table of {n} rows")
-    out_data = table.data[ids]
+    return table[ids]
+
+
+def embedding_gather(table: Tensor, ids) -> Tensor:
+    """Rows of ``table`` selected by an integer id array."""
+    ids = np.asarray(ids)
+    out_data = gather_rows(table.data, ids)
 
     def bw(g):
         if table.requires_grad:

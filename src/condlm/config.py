@@ -128,19 +128,23 @@ def _coerce(field_name: str, raw: str):
     return text
 
 
-def parse_config_text(text: str) -> dict:
-    """Parse flat ``key = value`` lines into typed values."""
+def parse_config_text(text: str, source: str) -> dict:
+    """Parse flat ``key = value`` lines into typed values. An error names
+    ``source`` and the line."""
     values: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
-        if "=" not in stripped:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {line.rstrip()!r}")
-        key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key in _FILE_EXCLUDED or (key not in _MODEL_FIELDS and key not in _TRAIN_FIELDS):
-            raise ConfigError(f"{key}: unknown configuration field")
-        values[key] = _coerce(key, raw)
+        try:
+            if "=" not in stripped:
+                raise ConfigError(f"expected 'key = value', got {line.rstrip()!r}")
+            key, raw = (part.strip() for part in stripped.split("=", 1))
+            if key in _FILE_EXCLUDED or (key not in _MODEL_FIELDS and key not in _TRAIN_FIELDS):
+                raise ConfigError(f"{key}: unknown configuration field")
+            values[key] = _coerce(key, raw)
+        except ConfigError as e:
+            raise ConfigError(f"{source}:{lineno}: {e}") from None
     return values
 
 
@@ -152,7 +156,7 @@ def load_config(source: str, overrides: dict | None = None) -> tuple[ModelConfig
     else:
         try:
             with open(source, encoding="utf-8") as f:
-                values = parse_config_text(f.read())
+                values = parse_config_text(f.read(), source)
         except OSError as e:
             raise ConfigError(f"cannot read config {source}: {e}") from None
         model_kw = {k: v for k, v in values.items() if k in _MODEL_FIELDS}

@@ -8,13 +8,14 @@ Generation stops at the end-of-abstract token or the token budget. Once
 the sequence reaches the model's max length n, the decoder input slides to
 the most recent n-1 tokens.
 
-Each request decodes through its own ``DecodeCache``, without building an
-autodiff graph: the encoder and the cross-attention keys and values run
-once for the request's conditions, and while the window grows by one token
-per step only that token goes through the decoder, against the cached
-self-attention keys and values. After the window slides, every position
-shifts, so each later step recomputes the whole window, the last decoder
-block for the last row only.
+Each request calls ``forward`` once per token with its own ``DecodeCache``,
+whose ``step`` decodes on plain arrays with no autodiff graph: the encoder
+and the cross-attention keys and values run once for the request's
+conditions, and while the window grows by one token per step only that
+token goes through the decoder, against each layer's cached self-attention
+keys and values. After the window slides, every position shifts, so each
+later step prefills the whole window, the last decoder block for the last
+row only.
 """
 
 from __future__ import annotations

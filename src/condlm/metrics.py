@@ -414,11 +414,16 @@ def load_df(path) -> DfCorpus:
         try:
             if lineno == 1:
                 doc_count = int(fields[1])
+                if doc_count < 1:
+                    raise ValueError(f"document count {doc_count} is below 1")
             elif line:
                 if len(fields) != 2:
                     raise ValueError(f"expected gram<TAB>count, got {line!r}")
-                gram = tuple(fields[0].split(" "))
-                df.setdefault(len(gram), {})[gram] = int(fields[1])
+                gram, count = tuple(fields[0].split(" ")), int(fields[1])
+                # build_df counts each document once per gram
+                if not 1 <= count <= doc_count:
+                    raise ValueError(f"count {count} outside [1, {doc_count}] documents")
+                df.setdefault(len(gram), {})[gram] = count
         except ValueError as e:
             raise DataError(f"{path}:{lineno}: {e}") from None
     return DfCorpus(doc_count, df)

@@ -17,15 +17,16 @@ affine parameters.
 Attention computes all heads at once from fused (d, d) query, key and
 value projections, split into heads by one reshape and transpose.
 
-Decoding one token at a time can pass a ``DecodeCache`` to ``forward``. It
-builds no autodiff graph, and keeps the encoder output, each decoder
-layer's cross-attention keys and values, and each decoder layer's
-self-attention keys and values between calls, so a window that grows by
-one token only runs that token through the decoder.
+``forward`` is the training and evaluation path. Decoding one token at a
+time passes it a ``DecodeCache``, whose ``step`` runs the same model on
+plain arrays with no autodiff graph. It keeps each decoder layer's
+cross-attention keys and values, and its self-attention keys and values,
+between calls, so a window that grows by one token runs only that token.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -193,42 +194,14 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -
     return ad.matmul(ad.softmax_lastdim(scores), v)
 
 
-@dataclass
-class KVCache:
-    """One attention layer's keys and values, kept between decode calls in
-    split-head layout (1, heads, rows, head_dim). A self-attention cache
-    grows: each call appends the rows it projects. A cross-attention cache
-    is filled by its first call and read unchanged after that."""
-    grows: bool
-    k: np.ndarray | None = None
-    v: np.ndarray | None = None
-
-
 def multi_head(params: ModelParameters, prefix: str, x: Tensor, y: Tensor,
-               mask: np.ndarray | None = None, kv: KVCache | None = None,
-               last_row: bool = False) -> Tensor:
+               mask: np.ndarray | None = None) -> Tensor:
     """All heads of one attention block at once, projected by ``out``.
     Queries come from ``x``, keys and values from ``y``; self-attention
-    passes the same tensor for both. With ``kv`` (decoding, no gradient),
-    keys and values come from the cache as ``KVCache`` describes.
-    ``last_row`` takes queries from the last row of ``x`` only; like the
-    cache, it is for decoding and passes no gradient to ``x``."""
+    passes the same tensor for both."""
     heads = params.config.heads
-    if kv is not None and not kv.grows and kv.k is not None:
-        k, v = ad.constant(kv.k), ad.constant(kv.v)
-    else:
-        k = ad.split_heads(ad.matmul(y, params[f"{prefix}.k"]), heads)
-        v = ad.split_heads(ad.matmul(y, params[f"{prefix}.v"]), heads)
-        if kv is not None:
-            if kv.k is not None:
-                kv.k = np.concatenate([kv.k, k.data], axis=-2)
-                kv.v = np.concatenate([kv.v, v.data], axis=-2)
-            else:
-                kv.k, kv.v = k.data, v.data
-            k, v = ad.constant(kv.k), ad.constant(kv.v)
-    if last_row:
-        x = ad.constant(x.data[..., -1:, :])
-        mask = None if mask is None else mask[..., -1:, :]
+    k = ad.split_heads(ad.matmul(y, params[f"{prefix}.k"]), heads)
+    v = ad.split_heads(ad.matmul(y, params[f"{prefix}.v"]), heads)
     q = ad.split_heads(ad.matmul(x, params[f"{prefix}.q"]), heads)
     return ad.matmul(ad.merge_heads(attention(q, k, v, mask)), params[f"{prefix}.out"])
 
@@ -254,21 +227,11 @@ def encoder_block(params: ModelParameters, index: int, x: Tensor,
 
 def decoder_block(params: ModelParameters, index: int, x: Tensor, enc_out: Tensor,
                   causal_mask: np.ndarray, cond_mask: np.ndarray | None,
-                  train: bool = False, rng=None,
-                  kv: tuple[KVCache, KVCache] | None = None,
-                  last_row: bool = False) -> Tensor:
-    """``kv`` holds this layer's self- and cross-attention caches (see
-    ``multi_head``); ``causal_mask`` then spans the cached positions too.
-    ``last_row`` (decoding only) gives the block's output for the last row
-    of ``x``: every row still feeds the self-attention keys and values."""
-    self_kv, cross_kv = kv if kv is not None else (None, None)
-    residual = ad.constant(x.data[..., -1:, :]) if last_row else x
-    b = _sublayer(params, f"dec{index}.ln1", residual,
-                  multi_head(params, f"dec{index}.self", x, x, causal_mask, self_kv, last_row),
-                  train, rng)
+                  train: bool = False, rng=None) -> Tensor:
+    b = _sublayer(params, f"dec{index}.ln1", x,
+                  multi_head(params, f"dec{index}.self", x, x, causal_mask), train, rng)
     a = _sublayer(params, f"dec{index}.ln2", b,
-                  multi_head(params, f"dec{index}.cross", b, enc_out, cond_mask, cross_kv),
-                  train, rng)
+                  multi_head(params, f"dec{index}.cross", b, enc_out, cond_mask), train, rng)
     return _sublayer(params, f"dec{index}.ln3", a,
                      feed_forward(params, f"dec{index}.ff", a), train, rng)
 
@@ -277,33 +240,99 @@ def causal_mask(t: int, dtype=np.float64) -> np.ndarray:
     return np.triu(np.full((t, t), NEG_INF, dtype=dtype), 1)
 
 
+# Plain-array versions of the blocks above, for ``DecodeCache.step``: ``w``
+# maps parameter names to arrays; keys and values are (heads, rows, head_dim).
+
+def _split(x: np.ndarray, heads: int) -> np.ndarray:
+    return x.reshape(len(x), heads, -1).swapaxes(0, 1)
+
+
+def _keys_values(w: dict, prefix: str, y: np.ndarray, heads: int):
+    return _split(y @ w[f"{prefix}.k"], heads), _split(y @ w[f"{prefix}.v"], heads)
+
+
+def _attend(w: dict, prefix: str, x: np.ndarray, kv, mask: np.ndarray | None = None):
+    k, v = kv
+    q = _split(x @ w[f"{prefix}.q"], len(k))
+    # A python float: a numpy float64 scalar would widen float32 scores.
+    scores = (q @ k.swapaxes(1, 2)) * (1.0 / math.sqrt(k.shape[-1]))
+    if mask is not None:
+        scores += mask
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    mixed = (e / e.sum(axis=-1, keepdims=True)) @ v
+    return mixed.swapaxes(0, 1).reshape(len(x), -1) @ w[f"{prefix}.out"]
+
+
+def _add_norm(w: dict, prefix: str, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    x = x + out
+    xc = x - x.mean(axis=-1, keepdims=True)
+    xhat = xc * (1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-5))
+    return w[f"{prefix}.gain"] * xhat + w[f"{prefix}.bias"]
+
+
+def _feed_forward(w: dict, prefix: str, x: np.ndarray) -> np.ndarray:
+    return np.maximum(x @ w[f"{prefix}.w1"], 0) @ w[f"{prefix}.w2"]
+
+
 @dataclass
 class DecodeCache:
-    """Per-request decoding state for ``forward``. ``bind`` ties it to one
-    parameter set and holds constant views of its tensors, so a cached
-    forward builds no autodiff graph. It keeps the canonical condition ids
-    and key mask with the encoder output they gave, each decoder layer's
-    cross-attention keys and values from that output, and the token window
-    whose self-attention keys and values are cached."""
-    source: ModelParameters | None = None
+    """Per-request decoding state for ``step``, on plain arrays: the
+    parameters and their arrays by name, the canonical condition ids with
+    each decoder layer's cross-attention keys and values, and the last
+    window, whose self-attention keys and values are the first
+    ``len(window)`` rows of ``kv`` (layers, 2, heads, max_seq, head_dim)."""
     params: ModelParameters | None = None
+    weights: dict = field(default_factory=dict)
     pe: np.ndarray | None = None
     conditions: np.ndarray | None = None
-    key_mask: np.ndarray | None = None
-    enc_out: Tensor | None = None
+    cross: list = field(default_factory=list)
+    kv: np.ndarray | None = None
     window: np.ndarray | None = None
-    self_kv: list[KVCache] = field(default_factory=list)
-    cross_kv: list[KVCache] = field(default_factory=list)
 
-    def bind(self, params: ModelParameters) -> ModelParameters:
-        """The constant views of ``params``; binding other parameters than
-        last time drops everything cached."""
-        if self.source is not params:
-            cfg = params.config
-            views = {name: ad.constant(t.data) for name, t in params.items()}
-            self.__init__(source=params, params=ModelParameters(cfg, views),
-                          pe=positional_encoding(cfg.max_seq, cfg.d_model, params.dtype))
-        return self.params
+    def step(self, params: ModelParameters, window, condition_ids) -> ForwardOutput:
+        """The uncached ``forward``'s four head logits for the last row of
+        the 1-d ``window``, as constants. The encoder runs when the
+        parameters or the canonical conditions change. A window that extends
+        the last one by a token runs only that token against the cached keys
+        and values; any other is prefilled whole. The last block computes
+        its last row only."""
+        cfg, heads = params.config, params.config.heads
+        window = np.asarray(window, dtype=np.int64)
+        t = len(window)
+        if self.params is not params:
+            shape = (cfg.decoder_blocks, 2, heads, cfg.max_seq, cfg.head_dim)
+            self.__init__(params=params, weights={n: p.data for n, p in params.items()},
+                          pe=positional_encoding(cfg.max_seq, cfg.d_model, params.dtype),
+                          kv=np.empty(shape, params.dtype))
+        w = self.weights
+        conditions = np.sort(np.asarray(condition_ids, dtype=np.int64))
+        if not np.array_equal(self.conditions, conditions):
+            # the learned null condition first, as in ``forward``; no key is masked
+            enc = ad.gather_rows(w["cond_emb"], np.append(cfg.cond_vocab, conditions))
+            for i in range(cfg.encoder_blocks):
+                kv = _keys_values(w, f"enc{i}.self", enc, heads)
+                enc = _add_norm(w, f"enc{i}.ln1", enc, _attend(w, f"enc{i}.self", enc, kv))
+                enc = _add_norm(w, f"enc{i}.ln2", enc, _feed_forward(w, f"enc{i}.ff", enc))
+            self.cross = [_keys_values(w, f"dec{i}.cross", enc, heads)
+                          for i in range(cfg.decoder_blocks)]
+            self.conditions, self.window = conditions, None
+
+        known = self.window
+        grows = known is not None and t == len(known) + 1 and np.array_equal(window[:-1], known)
+        start = t - 1 if grows else 0
+        x = ad.gather_rows(w["tok_emb"], window[start:]) + self.pe[start:t]
+        mask = None if grows else causal_mask(t, x.dtype)
+        for i in range(cfg.decoder_blocks):
+            self.kv[i, :, :, start:t] = _keys_values(w, f"dec{i}.self", x, heads)
+            if i == cfg.decoder_blocks - 1:  # the last row attends to every key
+                x, mask = x[-1:], None
+            kv = self.kv[i, :, :, :t]
+            x = _add_norm(w, f"dec{i}.ln1", x, _attend(w, f"dec{i}.self", x, kv, mask))
+            x = _add_norm(w, f"dec{i}.ln2", x, _attend(w, f"dec{i}.cross", x, self.cross[i]))
+            x = _add_norm(w, f"dec{i}.ln3", x, _feed_forward(w, f"dec{i}.ff", x))
+        self.window = window.copy()
+        return ForwardOutput(*(ad.constant(x @ w[f"head.{h}"])
+                               for h in ("token", "pos", "dep", "ent")))
 
 
 @dataclass
@@ -320,35 +349,28 @@ def forward(params: ModelParameters, input_ids, condition_ids,
             cache: DecodeCache | None = None) -> ForwardOutput:
     """Run the model. 1-d id arrays give 2-d logits (positions, vocab);
     batched 2-d inputs give 3-d logits and need ``condition_mask`` when
-    condition rows are padded.
-
-    ``cache`` is for decoding one sequence in eval mode: the encoder runs
-    only when the canonical conditions differ from the cached ones, a
-    window equal to the cached window plus one token runs only that token
-    through the decoder, any other window is recomputed whole and refills
-    the cache, the last decoder block computes the last row only, and the
-    logits cover that row. No autodiff graph is built."""
+    condition rows are padded. With ``cache`` (one sequence in eval mode),
+    ``cache.step`` decodes instead and gives the last row's logits."""
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+    cfg, t = params.config, np.shape(input_ids)[-1]
+    if t > cfg.max_seq:
+        raise ValueError(f"sequence length {t} exceeds max_seq {cfg.max_seq}")
+    if cache is not None:
+        if mode != "eval" or np.ndim(input_ids) != 1:
+            raise ValueError("a decode cache needs one 1-d sequence in eval mode")
+        return cache.step(params, input_ids, condition_ids)
     train = mode == "train"
-    cfg = params.config
     if train and cfg.dropout > 0 and rng is None:
         raise ValueError("training mode with dropout needs an rng")
-    dtype = params.dtype
-    if cache is not None:
-        params = cache.bind(params)
 
     input_ids = np.asarray(input_ids, dtype=np.int64)
     condition_ids = np.asarray(condition_ids, dtype=np.int64)
-    if cache is not None and (train or input_ids.ndim != 1):
-        raise ValueError("a decode cache needs one 1-d sequence in eval mode")
     single = input_ids.ndim == 1
     if single:
         input_ids = input_ids[None, :]
         condition_ids = condition_ids[None, :]
-    b, t = input_ids.shape
-    if t > cfg.max_seq:
-        raise ValueError(f"sequence length {t} exceeds max_seq {cfg.max_seq}")
+    b = len(input_ids)
 
     if condition_mask is None:
         condition_mask = np.ones(condition_ids.shape, dtype=np.float64)
@@ -365,42 +387,19 @@ def forward(params: ModelParameters, input_ids, condition_ids,
     condition_mask = np.concatenate([np.ones((b, 1)), condition_mask], axis=1)
 
     key_mask = np.where(condition_mask[:, None, None, :] > 0, 0.0, NEG_INF)
-    if cache is not None and np.array_equal(cache.conditions, condition_ids) \
-            and np.array_equal(cache.key_mask, key_mask):
-        enc = cache.enc_out
-    else:
-        # Encoder stream: condition embeddings only, no positional signal.
-        enc = ad.dropout(ad.embedding_gather(params["cond_emb"], condition_ids),
-                         cfg.dropout, rng, training=train)
-        for i in range(cfg.encoder_blocks):
-            enc = encoder_block(params, i, enc, key_mask, train, rng)
-        if cache is not None:
-            cache.conditions, cache.key_mask, cache.enc_out = condition_ids, key_mask, enc
-            cache.cross_kv = [KVCache(grows=False) for _ in range(cfg.decoder_blocks)]
-            cache.window = None
+    # Encoder stream: condition embeddings only, no positional signal.
+    enc = ad.dropout(ad.embedding_gather(params["cond_emb"], condition_ids),
+                     cfg.dropout, rng, training=train)
+    for i in range(cfg.encoder_blocks):
+        enc = encoder_block(params, i, enc, key_mask, train, rng)
 
-    # Decoder stream: token embeddings plus positional encoding. With a
-    # cache, rows before ``start`` are already in every layer's keys/values.
-    start = 0
-    if cache is not None:
-        window = input_ids[0]
-        known = cache.window
-        if known is not None and t == len(known) + 1 and np.array_equal(window[:-1], known):
-            start = t - 1
-        else:
-            cache.self_kv = [KVCache(grows=True) for _ in range(cfg.decoder_blocks)]
-        cache.window = window.copy()
-        pe = cache.pe[start:t]
-    else:
-        pe = positional_encoding(t, cfg.d_model, dtype)
-    dec = ad.add(ad.embedding_gather(params["tok_emb"], input_ids[:, start:]), ad.constant(pe))
+    # Decoder stream: token embeddings plus positional encoding.
+    pe = positional_encoding(t, cfg.d_model, params.dtype)
+    dec = ad.add(ad.embedding_gather(params["tok_emb"], input_ids), ad.constant(pe))
     dec = ad.dropout(dec, cfg.dropout, rng, training=train)
-    # A single new row may attend to every cached position: no mask.
-    cmask = causal_mask(t)[start:] if t - start > 1 else None
+    cmask = causal_mask(t)
     for i in range(cfg.decoder_blocks):
-        kv = None if cache is None else (cache.self_kv[i], cache.cross_kv[i])
-        dec = decoder_block(params, i, dec, enc, cmask, key_mask, train, rng, kv,
-                            last_row=cache is not None and i == cfg.decoder_blocks - 1)
+        dec = decoder_block(params, i, dec, enc, cmask, key_mask, train, rng)
 
     def head(name: str) -> Tensor:
         logits = ad.matmul(dec, params[f"head.{name}"])

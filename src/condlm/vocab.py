@@ -98,25 +98,45 @@ def _rows(path, what: str, kinds: tuple[str, ...]):
         yield lineno, row[0], row[1], row_id
 
 
+def _check_ids(path, what: str, rows: list[tuple[int, str, int]], low: int) -> None:
+    """Refuse a repeated key, or an id that repeats or falls outside
+    [low, low + len(rows)), naming the file and line: the ids of ``rows``
+    (line number, key, id) must fill that range exactly."""
+    high = low + len(rows)
+    key_lines: dict[str, int] = {}
+    id_lines: dict[int, int] = {}
+    for lineno, key, row_id in rows:
+        if key in key_lines:
+            raise DataError(f"{path}:{lineno}: {what} {key!r} repeats line {key_lines[key]}")
+        if not low <= row_id < high:
+            raise DataError(f"{path}:{lineno}: {what} id {row_id} outside [{low}, {high})")
+        if row_id in id_lines:
+            raise DataError(f"{path}:{lineno}: {what} id {row_id} repeats line {id_lines[row_id]}")
+        key_lines[key] = id_lines[row_id] = lineno
+
+
 def load_condition_vocab(path) -> ConditionVocab:
+    rows: dict[str, list] = {"year": [], "keyword": []}
+    for lineno, kind, key, cid in _rows(path, "condition vocabulary", tuple(rows)):
+        rows[kind].append((lineno, key, cid))
     years = {}
-    keyword_ids = {}
-    for lineno, kind, key, cid in _rows(path, "condition vocabulary", ("year", "keyword")):
-        if kind == "keyword":
-            keyword_ids[key] = cid
-            continue
+    for lineno, key, cid in rows["year"]:
         try:
             years[int(key)] = cid
         except ValueError:
             raise DataError(f"{path}:{lineno}: year {key!r} is not an integer") from None
     if not years:
         raise DataError(f"condition vocabulary {path} has no year entries")
+    _check_ids(path, "year", rows["year"], 0)
     base = min(years)
     count = len(years)
     expected = {base + i: i for i in range(count)}
     if years != expected:
         raise DataError(f"year block in {path} is not contiguous from {base}")
-    return ConditionVocab(keyword_ids, base, count)
+    # Keyword ids follow the years; a gap or an id inside the year block
+    # would condition on the wrong embedding row.
+    _check_ids(path, "keyword", rows["keyword"], count)
+    return ConditionVocab({key: cid for _, key, cid in rows["keyword"]}, base, count)
 
 
 @dataclass(frozen=True)
@@ -171,12 +191,15 @@ def save_label_vocabs(vocabs: LabelVocabs, path) -> None:
 
 
 def load_label_vocabs(path) -> LabelVocabs:
-    tables: dict[str, dict[str, int]] = {"pos": {}, "dep": {}, "ent": {}}
-    for _, kind, label, lid in _rows(path, "label vocabulary", tuple(tables)):
-        tables[kind][label] = lid
-    for kind, table in tables.items():
-        if table.get(NO_LABEL) != 0:
+    rows: dict[str, list] = {"pos": [], "dep": [], "ent": []}
+    for lineno, kind, label, lid in _rows(path, "label vocabulary", tuple(rows)):
+        rows[kind].append((lineno, label, lid))
+    tables = {}
+    for kind, kind_rows in rows.items():
+        tables[kind] = {label: lid for _, label, lid in kind_rows}
+        if tables[kind].get(NO_LABEL) != 0:
             raise DataError(f"label vocabulary {path} lacks the {kind} no-label entry at id 0")
+        _check_ids(path, f"{kind} label", kind_rows, 0)
     return LabelVocabs(
         LabelVocab("pos", tables["pos"]),
         LabelVocab("dep", tables["dep"]),

@@ -156,6 +156,21 @@ def test_config_file_and_unknown_field(workdir, tmp_path, capsys):
     assert "flux_capacitance" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,line,message", [
+    ("d_model = 32\nheads two\n", 2, "expected 'key = value', got 'heads two'"),
+    ("d_model = sixty\n", 1, "d_model: cannot parse 'sixty'"),
+    ("d_model = 32\n\nflux_capacitance = 9\n", 3, "flux_capacitance: unknown configuration field"),
+], ids=["no-equals", "bad-number", "unknown-field"])
+def test_config_file_errors_name_file_and_line(workdir, tmp_path, capsys, text, line, message):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text)
+    code = cli.main(["train", "--config", str(bad), "--data", str(workdir["corpus"]),
+                     "--tokenizer", str(workdir["tok"]), "--vocab", str(workdir["vocab"]),
+                     "--checkpoint-dir", str(tmp_path / "ck")])
+    assert code == 1
+    assert capsys.readouterr().err == f"configuration error: {bad}:{line}: {message}\n"
+
+
 @pytest.mark.parametrize("line", ["eps = 0", "beta2 = 1.0", "weight_decay = -0.5"])
 def test_train_rejects_bad_lamb_settings(workdir, tmp_path, capsys, line):
     cfg = tmp_path / "run.cfg"
@@ -261,6 +276,25 @@ def test_damaged_input_exits_two_naming_the_file(workdir, tmp_path, capsys, targ
     assert code == 2
     assert f"{bad}:" in err and what in err
     assert "Traceback" not in err
+
+
+def test_generate_refuses_keyword_id_inside_the_year_block(workdir, tmp_path, capsys):
+    # keyword id 0 is the first year's id: loading it would silently
+    # condition the keyword as that year
+    vocab = tmp_path / "vocab"
+    shutil.copytree(workdir["vocab"], vocab)
+    cond = vocab / "conditions.tsv"
+    lines = cond.read_text(encoding="utf-8").splitlines()
+    lineno = next(i for i, line in enumerate(lines, start=1) if line.startswith("keyword\t"))
+    kind, keyword, _ = lines[lineno - 1].split("\t")
+    lines[lineno - 1] = f"{kind}\t{keyword}\t0"
+    cond.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = cli.main(["generate", "--checkpoint", str(workdir["final"]),
+                     "--tokenizer", str(workdir["tok"]), "--vocab", str(vocab),
+                     "--title", "the probe", "--year", "1996", "--keywords", keyword])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{cond}:{lineno}: keyword id 0 outside" in err
 
 
 def test_evaluate_refuses_damaged_reference_line(workdir, tmp_path, capsys):

@@ -265,6 +265,22 @@ def test_df_build_save_load(tmp_path):
         mt.load_df(bad)
 
 
+@pytest.mark.parametrize("text,line,message", [
+    ("#documents\t0\nthe\t1\n", 1, "document count 0 is below 1"),
+    ("#documents\t-3\n", 1, "document count -3 is below 1"),
+    ("#documents\t2\nthe\t1\nthe cat\t3\n", 3, "count 3 outside [1, 2] documents"),
+    ("#documents\t2\nthe\t0\n", 2, "count 0 outside [1, 2] documents"),
+], ids=["no-documents", "negative-documents", "count-above-documents", "zero-count"])
+def test_load_df_refuses_impossible_counts(tmp_path, text, line, message):
+    # build_df never writes these; a zero document count used to surface
+    # later as a bare "math domain error"
+    path = tmp_path / "df.tsv"
+    path.write_text(text)
+    with pytest.raises(DataError) as err:
+        mt.load_df(path)
+    assert str(err.value) == f"{path}:{line}: {message}"
+
+
 # --- oracle equivalence over random inputs ------------------------------------------
 
 tokens = st.lists(st.sampled_from(["a", "b", "c"]), min_size=0, max_size=6)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -369,94 +370,96 @@ def assert_last_row_matches(cached, full, atol):
         np.testing.assert_allclose(got[0], want[-1], rtol=0, atol=atol)
 
 
+def poison_rows(cache, start):
+    """Fill the self-attention key/value rows from ``start`` on with NaN:
+    a step that reads such a row without writing it gets NaN logits."""
+    if cache.kv is not None:
+        cache.kv[..., start:, :] = np.nan
+
+
+def written_rows(cache):
+    """Per layer, how many key/value rows hold numbers."""
+    return np.isfinite(cache.kv).all(axis=(1, 2, 4)).sum(axis=1).tolist()
+
+
 @pytest.mark.parametrize("seed,blocks", [(0, 1), (1, 2), (2, 1), (3, 2), (4, 3)])
-def test_cached_forward_matches_full_every_step(monkeypatch, seed, blocks):
+def test_cached_forward_matches_full_every_step(seed, blocks):
     params = decode_params(seed, blocks)
     n = params.config.max_seq
     rng = np.random.default_rng(seed)
     ids = rng.integers(0, params.config.token_vocab, size=3 * n)
     conds = rng.integers(0, params.config.cond_vocab, size=2)
-    encoded, block_rows, query_rows = [], {}, {}
-    enc_block, dec_block, attend = md.encoder_block, md.decoder_block, md.multi_head
-
-    def counting_encoder(*args, **kwargs):
-        encoded.append(1)
-        return enc_block(*args, **kwargs)
-
-    def counting_decoder(params, index, x, *args, **kwargs):
-        block_rows.setdefault(index, []).append(x.data.shape[-2])
-        return dec_block(params, index, x, *args, **kwargs)
-
-    def counting_attention(params, prefix, x, y, *args, **kwargs):
-        out = attend(params, prefix, x, y, *args, **kwargs)
-        if prefix.startswith("dec") and prefix.endswith(".self"):
-            query_rows.setdefault(prefix, []).append(out.data.shape[-2])
-        return out
-
     cache = md.DecodeCache()
     for end in range(1, len(ids) + 1):
         window = ids[:end] if end < n else ids[end - (n - 1):end]
-        monkeypatch.setattr(md, "encoder_block", counting_encoder)
-        monkeypatch.setattr(md, "decoder_block", counting_decoder)
-        monkeypatch.setattr(md, "multi_head", counting_attention)
+        t = len(window)
+        grows = 1 < end < n
+        if grows:  # on a marked copy: a growing step rewrites no earlier row
+            marked = dataclasses.replace(cache, kv=cache.kv + 1.0)
+            forward(params, window, conds, cache=marked)
+            np.testing.assert_array_equal(marked.kv[..., :t - 1, :], cache.kv[..., :t - 1, :] + 1.0)
+        poison_rows(cache, t - 1 if grows else 0)
+        cross = cache.cross
         cached = forward(params, window, conds, cache=cache)
-        monkeypatch.undo()
-        assert_last_row_matches(cached, forward(params, window, conds), atol=1e-6)
-    # the encoder ran once; the growing window went one row at a time, and
-    # every window after the slide was recomputed whole, except that the
-    # last block's queries cover the last row only
-    assert len(encoded) == blocks
-    growing = [1] * (n - 1) + [n - 1] * (len(ids) - n + 1)
-    assert block_rows == {i: growing for i in range(blocks)}
-    assert query_rows == {f"dec{i}.self": growing if i < blocks - 1 else [1] * len(ids)
-                          for i in range(blocks)}
+        assert_last_row_matches(cached, forward(params, window, conds), atol=1e-12)
+        # a growing window writes one new key/value row per layer, and every
+        # slid window prefills (the first step fills fresh, unpoisoned buffers)
+        assert end == 1 or written_rows(cache) == [t] * blocks
+        # the encoder ran on the first step only
+        assert end == 1 or cache.cross is cross
 
 
 def test_cached_forward_builds_no_graph(monkeypatch):
     params = decode_params(6, 2)
-    edges = []
+    nodes = []
     node = ad._node
 
     def counting_node(data, parents, backward_fn):
-        edges.append(any(p.requires_grad for p in parents))
+        nodes.append(any(p.requires_grad for p in parents))
         return node(data, parents, backward_fn)
 
     monkeypatch.setattr(ad, "_node", counting_node)
     cache = md.DecodeCache()
     for window in ([1], [1, 2], [1, 2, 3], [2, 3, 4, 5, 6], [3, 4, 5, 6, 7]):
-        out = forward(params, np.array(window), np.array([1, 3]), cache=cache)
+        window = np.array(window)
+        out = forward(params, window, np.array([1, 3]), cache=cache)
         for name in HEADS:
             logits = getattr(out, name)
             assert logits.parents == () and not logits.requires_grad
-    assert edges and not any(edges)
+        assert not nodes  # the step makes no autodiff node at all
+        assert_last_row_matches(out, forward(params, window, np.array([1, 3])), atol=1e-12)
+        nodes.clear()
     assert all(t.grad is None for _, t in params.items())
     # the uncached path still builds the graph that training needs
     forward(params, np.array([1, 2]), np.array([1, 3]))
-    assert any(edges)
+    assert any(nodes)
 
 
-def test_cross_attention_keys_values_projected_once_per_encoding(monkeypatch):
+def test_cross_attention_keys_values_projected_once_per_encoding():
     params = decode_params(7, 2)
-    cross_k = {params[f"dec{i}.cross.k"].data.ctypes.data for i in range(2)}
-    projections = []
-    matmul = ad.matmul
-
-    def counting_matmul(a, b):
-        if b.data.ctypes.data in cross_k:
-            projections.append(a.data.shape[-2])
-        return matmul(a, b)
-
-    monkeypatch.setattr(ad, "matmul", counting_matmul)
     cache = md.DecodeCache()
-    # growing window, then slid windows recomputed whole: one projection per layer
+    encodings = []
+
+    def run(window, conds, p=params):
+        window, conds = np.array(window), np.array(conds)
+        out = forward(p, window, conds, cache=cache)
+        assert_last_row_matches(out, forward(p, window, conds), atol=1e-12)
+        if not encodings or cache.cross is not encodings[-1]:
+            encodings.append(cache.cross)
+
+    # growing window, then slid windows recomputed whole: one encoding
     for window in ([1], [1, 2], [1, 2, 3], [1, 2, 3, 4, 5], [2, 3, 4, 5, 6], [3, 4, 5, 6, 7]):
-        forward(params, np.array(window), np.array([1, 3]), cache=cache)
+        run(window, [1, 3])
+    assert len(encodings) == 1
     # the null condition plus two keywords: three key rows per layer
-    assert projections == [3, 3]
-    forward(params, np.array([3, 4, 5, 6, 7, 8]), np.array([3, 1]), cache=cache)
-    assert projections == [3, 3]
-    forward(params, np.array([3, 4, 5, 6, 7, 8]), np.array([2]), cache=cache)
-    assert projections == [3, 3, 2, 2]
+    assert [k.shape[-2] for k, _ in cache.cross] == [3, 3]
+    run([3, 4, 5, 6, 7, 8], [3, 1])  # the same condition set, reordered
+    assert len(encodings) == 1
+    run([3, 4, 5, 6, 7, 8], [2])
+    assert len(encodings) == 2 and [k.shape[-2] for k, _ in cache.cross] == [2, 2]
+    # other parameters, even with equal values, encode again
+    run([3, 4, 5, 6, 7, 8], [2], p=md.ModelParameters(params.config, dict(params.items())))
+    assert len(encodings) == 3
 
 
 def test_cache_rebuilds_on_new_conditions_or_other_window():

@@ -108,6 +108,25 @@ def test_condition_vocab_load_errors(tmp_path):
         load_condition_vocab(tmp_path / "nope.tsv")
 
 
+YEARS = "year\t1990\t0\nyear\t1991\t1\n"
+
+
+@pytest.mark.parametrize("text,message", [
+    (YEARS + "keyword\tk\t999\n", ":3: keyword id 999 outside [2, 3)"),
+    # id 0 is the year 1990: the keyword would silently condition as that year
+    (YEARS + "keyword\tk\t0\n", ":3: keyword id 0 outside [2, 3)"),
+    (YEARS + "keyword\tk\t2\nkeyword\tm\t2\n", ":4: keyword id 2 repeats line 3"),
+    (YEARS + "keyword\tk\t2\nkeyword\tk\t3\n", ":4: keyword 'k' repeats line 3"),
+    ("year\t1990\t0\nkeyword\tk\t1\nyear\t1990\t0\n", ":3: year '1990' repeats line 1"),
+], ids=["id-past-table", "id-in-year-block", "repeated-id", "repeated-keyword", "repeated-year"])
+def test_condition_vocab_refuses_keyword_ids_outside_their_block(tmp_path, text, message):
+    p = tmp_path / "cond.tsv"
+    p.write_text(text)
+    with pytest.raises(DataError) as err:
+        load_condition_vocab(p)
+    assert str(err.value) == f"{p}{message}"
+
+
 # --- label vocabularies --------------------------------------------------------
 
 def test_label_vocabs_reserve_no_label():
@@ -142,3 +161,18 @@ def test_label_vocabs_load_errors(tmp_path):
     p.write_text("huh\tx\t0\n")
     with pytest.raises(DataError, match="malformed"):
         load_label_vocabs(p)
+
+
+@pytest.mark.parametrize("text,message", [
+    # an id past the table used to surface only at training, with no file
+    ("pos\t<none>\t0\npos\tNOUN\t77\n", ":2: pos label id 77 outside [0, 2)"),
+    ("pos\t<none>\t0\ndep\t<none>\t0\ndep\troot\t0\n", ":3: dep label id 0 repeats line 2"),
+    ("ent\t<none>\t0\nent\tGENE\t1\nent\tGENE\t2\n", ":3: ent label 'GENE' repeats line 2"),
+], ids=["id-past-table", "repeated-id", "repeated-label"])
+def test_label_vocabs_refuse_ids_that_do_not_fill_their_range(tmp_path, text, message):
+    p = tmp_path / "labels.tsv"
+    p.write_text(text + "".join(f"{kind}\t<none>\t0\n" for kind in ("pos", "dep", "ent")
+                                if f"{kind}\t<none>" not in text))
+    with pytest.raises(DataError) as err:
+        load_label_vocabs(p)
+    assert str(err.value) == f"{p}{message}"
