@@ -8,6 +8,10 @@ accumulate additively (in place, when ``zero_grad`` has bound them to
 views of one flat buffer), so repeated ``backward`` calls without
 ``zero_grad`` sum their contributions.
 
+Attention, and a residual add with its layer norm, are one node each
+(``attention``, ``add_norm``). Their forwards run the plain-array kernels
+``attend`` and ``normalize``, which graph-free decoding calls too.
+
 Two precisions are supported and chosen by the arrays you put in:
 float64 ("wide") for oracles and gradient checks, float32 ("narrow") for
 training throughput. Ops never change dtype on their own.
@@ -24,6 +28,7 @@ import numpy as np
 WIDE = np.float64
 NARROW = np.float32
 DTYPES = {"wide": WIDE, "narrow": NARROW}
+LN_EPS = 1e-5
 
 
 class Tensor:
@@ -181,18 +186,6 @@ def reshape(a, shape) -> Tensor:
     return _node(out_data, (a,), bw)
 
 
-def swap_last2(a) -> Tensor:
-    """Transpose the last two axes (for attention key transposes)."""
-    a = _as_tensor(a)
-    out_data = a.data.swapaxes(-1, -2)
-
-    def bw(g):
-        if a.requires_grad:
-            a.accumulate(g.swapaxes(-1, -2))
-
-    return _node(out_data, (a,), bw)
-
-
 def split_heads(a, heads: int) -> Tensor:
     """(..., T, heads * w) -> (..., heads, T, w): one reshape and one
     transpose, returned as a view. ``merge_heads`` is its inverse."""
@@ -203,9 +196,9 @@ def split_heads(a, heads: int) -> Tensor:
 
     def bw(g):
         if a.requires_grad:
-            a.accumulate(_merge(g))
+            a.accumulate(from_heads(g))
 
-    return _node(_split(a.data, heads), (a,), bw)
+    return _node(to_heads(a.data, heads), (a,), bw)
 
 
 def merge_heads(a) -> Tensor:
@@ -218,19 +211,20 @@ def merge_heads(a) -> Tensor:
 
     def bw(g):
         if a.requires_grad:
-            a.accumulate(_split(g, heads))
+            a.accumulate(to_heads(g, heads))
 
-    return _node(_merge(a.data), (a,), bw)
-
-
-def _split(x: np.ndarray, heads: int) -> np.ndarray:
-    *lead, t, d = x.shape
-    return x.reshape(*lead, t, heads, d // heads).swapaxes(-2, -3)
+    return _node(from_heads(a.data), (a,), bw)
 
 
-def _merge(x: np.ndarray) -> np.ndarray:
-    *lead, h, t, w = x.shape
-    return x.swapaxes(-2, -3).reshape(*lead, t, h * w)
+def to_heads(x: np.ndarray, heads: int) -> np.ndarray:
+    """The array form of ``split_heads``: a view, no copy."""
+    return x.reshape(x.shape[:-1] + (heads, x.shape[-1] // heads)).swapaxes(-2, -3)
+
+
+def from_heads(x: np.ndarray) -> np.ndarray:
+    """The array form of ``merge_heads``."""
+    s = x.shape
+    return x.swapaxes(-2, -3).reshape(s[:-3] + (s[-2], s[-3] * s[-1]))
 
 
 def relu(a) -> Tensor:
@@ -289,55 +283,81 @@ def embedding_gather(table: Tensor, ids) -> Tensor:
     return _node(out_data, (table,), bw)
 
 
-def softmax_lastdim(a) -> Tensor:
-    """Numerically stable softmax over the last axis.
+def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray,
+           mask: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Scaled dot-product attention over the last two axes, on plain
+    arrays: (softmax(q kᵀ / √w + mask) v, the softmax probabilities).
+    ``mask`` is additive (0 keeps a key, -inf drops it) and broadcasts
+    to the scores' shape (..., T_q, T_k). Nothing is checked: a NaN or +inf
+    score, or a row whose every key is dropped, gives NaN probabilities."""
+    # A python float: a numpy float64 scalar would widen float32 scores.
+    scores = (q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(q.shape[-1]))
+    if mask is not None:
+        scores += mask.astype(scores.dtype, copy=False)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    return p @ v, p
 
-    -inf entries are the masking convention and give weight exactly zero.
-    NaN or +inf inputs, and fully masked rows, are errors.
-    """
-    a = _as_tensor(a)
-    x = a.data
-    if np.isnan(x).any() or np.isposinf(x).any():
-        raise ValueError("softmax input contains NaN or +inf")
-    m = np.max(x, axis=-1, keepdims=True)
-    if np.isneginf(m).any():
-        raise ValueError("softmax over a fully masked row")
-    e = np.exp(x - m)
-    s = e / e.sum(axis=-1, keepdims=True)
+
+def attention(q, k, v, mask: np.ndarray | None = None) -> Tensor:
+    """``attend`` as one graph node, which keeps only the probabilities P
+    for its closed-form backward. NaN or +inf scores, and rows whose every
+    key is masked, are errors: each leaves NaN in P."""
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    with np.errstate(invalid="ignore"):  # inf - inf is refused just below
+        out_data, p = attend(q.data, k.data, v.data, mask)
+    if np.isnan(p).any():
+        raise ValueError("attention scores contain NaN or +inf, or a fully masked row")
+    s = 1.0 / math.sqrt(q.data.shape[-1])
 
     def bw(g):
-        if a.requires_grad:
-            inner = (g * s).sum(axis=-1, keepdims=True)
-            a.accumulate(s * (g - inner))
+        if v.requires_grad:
+            v.accumulate(_sum_to_shape(p.swapaxes(-1, -2) @ g, v.data.shape))
+        if q.requires_grad or k.requires_grad:
+            dp = g @ v.data.swapaxes(-1, -2)
+            ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * s
+            if q.requires_grad:
+                q.accumulate(_sum_to_shape(ds @ k.data, q.data.shape))
+            if k.requires_grad:
+                dk = (q.data.swapaxes(-1, -2) @ ds).swapaxes(-1, -2)
+                k.accumulate(_sum_to_shape(dk, k.data.shape))
 
-    return _node(s, (a,), bw)
+    return _node(out_data, (q, k, v), bw)
 
 
-def layer_norm(x, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis (biased variance), then affine."""
-    x = _as_tensor(x)
-    d = x.data.shape[-1]
-    if gain.data.shape != (d,) or bias.data.shape != (d,):
-        raise ValueError(f"layer_norm affine shapes {gain.data.shape}/{bias.data.shape} do not match width {d}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+def normalize(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
+    """Layer norm over the last axis (biased variance), then the affine
+    gain and bias, on plain arrays: (output, normalized x, 1 / std)."""
+    xc = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + LN_EPS)
     xhat = xc * inv
-    out_data = gain.data * xhat + bias.data
+    return gain * xhat + bias, xhat, inv
+
+
+def add_norm(a, b, gain: Tensor, bias: Tensor) -> Tensor:
+    """``normalize(a + b, gain, bias)`` as one graph node (the residual add
+    of a post-norm block), keeping the normalized sum and 1 / std."""
+    a, b = _as_tensor(a), _as_tensor(b)
+    d = a.data.shape[-1]
+    if gain.data.shape != (d,) or bias.data.shape != (d,):
+        raise ValueError(f"add_norm affine shapes {gain.data.shape}/{bias.data.shape} do not match width {d}")
+    out_data, xhat, inv = normalize(a.data + b.data, gain.data, bias.data)
 
     def bw(g):
         if gain.requires_grad:
             gain.accumulate((g * xhat).reshape(-1, d).sum(axis=0))
         if bias.requires_grad:
             bias.accumulate(g.reshape(-1, d).sum(axis=0))
-        if x.requires_grad:
+        if a.requires_grad or b.requires_grad:
             gx = g * gain.data
             m1 = gx.mean(axis=-1, keepdims=True)
             m2 = (gx * xhat).mean(axis=-1, keepdims=True)
-            x.accumulate(inv * (gx - m1 - xhat * m2))
+            gx = inv * (gx - m1 - xhat * m2)
+            for t in (a, b):
+                if t.requires_grad:
+                    t.accumulate(_sum_to_shape(gx, t.data.shape))
 
-    return _node(out_data, (x, gain, bias), bw)
+    return _node(out_data, (a, b, gain, bias), bw)
 
 
 def cross_entropy_logits(logits: Tensor, labels) -> Tensor:

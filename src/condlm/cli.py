@@ -24,6 +24,7 @@ from .corpus import load_records
 from .errors import ConfigError, DataError, NumericalError
 from .generator import GenerationRequest, generate
 from .model import init_parameters
+from .textio import read_lines
 from .tokenizer import load_tokenizer, save_tokenizer, train_unigram
 from .trainer import OptimizerState, load_checkpoint, save_checkpoint, train
 from .vocab import (build_condition_vocab, build_label_vocabs,
@@ -201,12 +202,7 @@ def _parse_keywords(text: str) -> tuple[str, ...]:
 def _jsonl_objects(path, what):
     """(line number, object) for each non-blank line of a JSONL file. A line
     that is not a JSON object is a DataError naming the file and line."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            lines = f.read().splitlines()
-    except OSError as e:
-        raise DataError(f"cannot read {what} {path}: {e}") from None
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in read_lines(path, what):
         if not line.strip():
             continue
         try:

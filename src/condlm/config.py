@@ -132,7 +132,7 @@ def parse_config_text(text: str, source: str) -> dict:
     """Parse flat ``key = value`` lines into typed values. An error names
     ``source`` and the line."""
     values: dict = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -155,10 +155,16 @@ def load_config(source: str, overrides: dict | None = None) -> tuple[ModelConfig
         model_kw, train_kw = (dict(d) for d in PRESETS[source])
     else:
         try:
-            with open(source, encoding="utf-8") as f:
-                values = parse_config_text(f.read(), source)
+            with open(source, "rb") as f:
+                raw = f.read()
         except OSError as e:
             raise ConfigError(f"cannot read config {source}: {e}") from None
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as e:
+            line = raw.count(b"\n", 0, e.start) + 1
+            raise ConfigError(f"{source}:{line}: byte {raw[e.start]:#04x} is not UTF-8 ({e.reason})") from None
+        values = parse_config_text(text, source)
         model_kw = {k: v for k, v in values.items() if k in _MODEL_FIELDS}
         train_kw = {k: v for k, v in values.items() if k in _TRAIN_FIELDS}
     for key, value in (overrides or {}).items():

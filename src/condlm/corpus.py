@@ -83,16 +83,17 @@ def _parse_record(obj) -> AnnotatedRecord:
 
 
 class RecordStream:
-    """Iterate records in a JSONL file, skipping malformed lines with a
-    warning. ``skipped`` counts them after iteration. A ``strict`` stream
-    raises ``DataError`` naming the file and line instead."""
+    """Iterate records in a JSONL file, skipping malformed lines (a line
+    that is not UTF-8 among them) with a warning. ``skipped`` counts them
+    after iteration. A ``strict`` stream raises ``DataError`` naming the
+    file and line instead. Lines end at "\n" only."""
 
     def __init__(self, path, strict: bool = False):
         self.path = path
         self.strict = strict
         self.skipped = 0
         try:
-            self._handle = open(path, encoding="utf-8")
+            self._handle = open(path, "rb")
         except OSError as e:
             raise DataError(f"cannot read corpus file {path}: {e}") from None
 
@@ -102,7 +103,7 @@ class RecordStream:
                 if not line.strip():
                     continue
                 try:
-                    yield _parse_record(json.loads(line))
+                    yield _parse_record(json.loads(line.decode("utf-8")))
                 except (json.JSONDecodeError, KeyError, ValueError, TypeError) as e:
                     if self.strict:
                         raise DataError(f"{self.path}:{lineno}: malformed record ({e})") from None

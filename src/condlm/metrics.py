@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DataError
+from .textio import read_lines
 
 MAX_ORDER = 4
 METEOR_ALPHA = 0.9
@@ -401,15 +402,11 @@ def save_df(corpus: DfCorpus, path) -> None:
 
 
 def load_df(path) -> DfCorpus:
-    try:
-        with open(path, encoding="utf-8") as f:
-            lines = f.read().splitlines()
-    except OSError as e:
-        raise DataError(f"cannot read document-frequency file {path}: {e}") from None
-    if not lines or not lines[0].startswith("#documents\t"):
+    lines = read_lines(path, "document-frequency file")
+    if not lines or not lines[0][1].startswith("#documents\t"):
         raise DataError(f"{path} is not a document-frequency file")
     df: dict[int, dict[tuple[str, ...], int]] = {}
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in lines:
         fields = line.split("\t")
         try:
             if lineno == 1:

@@ -15,18 +15,20 @@ Attention/feed-forward projections carry no biases; LayerNorm provides the
 affine parameters.
 
 Attention computes all heads at once from fused (d, d) query, key and
-value projections, split into heads by one reshape and transpose.
+value projections, split into heads by one reshape and transpose. The
+attention core is one ``ad.attention`` node, and each residual add with
+its LayerNorm one ``ad.add_norm`` node.
 
 ``forward`` is the training and evaluation path. Decoding one token at a
 time passes it a ``DecodeCache``, whose ``step`` runs the same model on
-plain arrays with no autodiff graph. It keeps each decoder layer's
+plain arrays with no autodiff graph, through the same ``ad.attend`` and
+``ad.normalize`` kernels that those nodes run. It keeps each decoder layer's
 cross-attention keys and values, and its self-attention keys and values,
 between calls, so a window that grows by one token runs only that token.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -184,16 +186,6 @@ def positional_encoding(n: int, d_model: int, dtype=ad.WIDE) -> np.ndarray:
     return pe.astype(dtype)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Scaled dot-product attention. ``mask`` is additive (0 keeps, -inf
-    drops) and broadcasts against the score shape (..., T_q, T_k)."""
-    dk = q.data.shape[-1]
-    scores = ad.scale(ad.matmul(q, ad.swap_last2(k)), 1.0 / np.sqrt(dk))
-    if mask is not None:
-        scores = ad.add(scores, ad.constant(mask.astype(q.data.dtype)))
-    return ad.matmul(ad.softmax_lastdim(scores), v)
-
-
 def multi_head(params: ModelParameters, prefix: str, x: Tensor, y: Tensor,
                mask: np.ndarray | None = None) -> Tensor:
     """All heads of one attention block at once, projected by ``out``.
@@ -203,7 +195,7 @@ def multi_head(params: ModelParameters, prefix: str, x: Tensor, y: Tensor,
     k = ad.split_heads(ad.matmul(y, params[f"{prefix}.k"]), heads)
     v = ad.split_heads(ad.matmul(y, params[f"{prefix}.v"]), heads)
     q = ad.split_heads(ad.matmul(x, params[f"{prefix}.q"]), heads)
-    return ad.matmul(ad.merge_heads(attention(q, k, v, mask)), params[f"{prefix}.out"])
+    return ad.matmul(ad.merge_heads(ad.attention(q, k, v, mask)), params[f"{prefix}.out"])
 
 
 def feed_forward(params: ModelParameters, prefix: str, x: Tensor) -> Tensor:
@@ -213,8 +205,7 @@ def feed_forward(params: ModelParameters, prefix: str, x: Tensor) -> Tensor:
 def _sublayer(params: ModelParameters, ln_prefix: str, residual: Tensor, out: Tensor,
               train: bool, rng) -> Tensor:
     out = ad.dropout(out, params.config.dropout, rng, training=train)
-    return ad.layer_norm(ad.add(out, residual),
-                         params[f"{ln_prefix}.gain"], params[f"{ln_prefix}.bias"])
+    return ad.add_norm(out, residual, params[f"{ln_prefix}.gain"], params[f"{ln_prefix}.bias"])
 
 
 def encoder_block(params: ModelParameters, index: int, x: Tensor,
@@ -242,32 +233,20 @@ def causal_mask(t: int, dtype=np.float64) -> np.ndarray:
 
 # Plain-array versions of the blocks above, for ``DecodeCache.step``: ``w``
 # maps parameter names to arrays; keys and values are (heads, rows, head_dim).
-
-def _split(x: np.ndarray, heads: int) -> np.ndarray:
-    return x.reshape(len(x), heads, -1).swapaxes(0, 1)
-
+# Attention and the residual layer norm run the graph ops' own kernels.
 
 def _keys_values(w: dict, prefix: str, y: np.ndarray, heads: int):
-    return _split(y @ w[f"{prefix}.k"], heads), _split(y @ w[f"{prefix}.v"], heads)
+    return ad.to_heads(y @ w[f"{prefix}.k"], heads), ad.to_heads(y @ w[f"{prefix}.v"], heads)
 
 
 def _attend(w: dict, prefix: str, x: np.ndarray, kv, mask: np.ndarray | None = None):
     k, v = kv
-    q = _split(x @ w[f"{prefix}.q"], len(k))
-    # A python float: a numpy float64 scalar would widen float32 scores.
-    scores = (q @ k.swapaxes(1, 2)) * (1.0 / math.sqrt(k.shape[-1]))
-    if mask is not None:
-        scores += mask
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    mixed = (e / e.sum(axis=-1, keepdims=True)) @ v
-    return mixed.swapaxes(0, 1).reshape(len(x), -1) @ w[f"{prefix}.out"]
+    mixed, _ = ad.attend(ad.to_heads(x @ w[f"{prefix}.q"], len(k)), k, v, mask)
+    return ad.from_heads(mixed) @ w[f"{prefix}.out"]
 
 
 def _add_norm(w: dict, prefix: str, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    x = x + out
-    xc = x - x.mean(axis=-1, keepdims=True)
-    xhat = xc * (1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-5))
-    return w[f"{prefix}.gain"] * xhat + w[f"{prefix}.bias"]
+    return ad.normalize(out + x, w[f"{prefix}.gain"], w[f"{prefix}.bias"])[0]
 
 
 def _feed_forward(w: dict, prefix: str, x: np.ndarray) -> np.ndarray:

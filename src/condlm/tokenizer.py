@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
+from .textio import read_lines
 
 MARKER = "▁"  # word-boundary marker, one per word start
 MAX_PIECE_LEN = 6  # seed pieces are substrings up to this length
@@ -321,15 +322,11 @@ def save_tokenizer(model: TokenizerModel, path) -> None:
 
 
 def load_tokenizer(path) -> TokenizerModel:
-    try:
-        with open(path, encoding="utf-8") as f:
-            lines = f.read().splitlines()
-    except OSError as e:
-        raise DataError(f"cannot read tokenizer model {path}: {e}") from None
-    if not lines or not lines[0].startswith("#version\t"):
+    lines = read_lines(path, "tokenizer model")
+    if not lines or not lines[0][1].startswith("#version\t"):
         raise DataError(f"{path} is not a tokenizer model (missing version line)")
     pieces: dict[str, float] = {}
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in lines:
         fields = line.split("\t")
         try:
             if lineno == 1:

@@ -241,11 +241,13 @@ def load_checkpoint(path, expect_hash: str | None = None) -> Checkpoint:
     writable view of it, so nothing is copied after the read."""
     try:
         with open(path, "rb") as f:
-            raw = bytearray(os.fstat(f.fileno()).st_size)
+            # not a bytearray: numpy skips the zero fill and backs a buffer
+            # this large with huge pages, so reading it faults few pages
+            raw = np.empty(os.fstat(f.fileno()).st_size, np.uint8)
             got = f.readinto(raw)
     except OSError as e:
         raise DataError(f"cannot read checkpoint {path}: {e}") from None
-    if raw[:4] != CHECKPOINT_MAGIC or got < 16:
+    if raw[:4].tobytes() != CHECKPOINT_MAGIC or got < 16:
         raise DataError(f"{path} is not a checkpoint (bad magic or short header)")
     version, manifest_len = struct.unpack_from("<IQ", raw, 4)
     if version == 1:
@@ -256,7 +258,7 @@ def load_checkpoint(path, expect_hash: str | None = None) -> Checkpoint:
     if 16 + manifest_len > got:
         raise DataError(f"checkpoint {path} is truncated inside its manifest")
     try:
-        manifest = json.loads(raw[16:16 + manifest_len])
+        manifest = json.loads(raw[16:16 + manifest_len].tobytes())
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise DataError(f"checkpoint {path} manifest is not valid JSON: {e}") from None
     try:

@@ -15,8 +15,17 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import DataError
+from .textio import read_lines
 
 NO_LABEL = "<none>"
+
+
+def _storable(kind: str, key: str) -> str:
+    """``key`` itself, if a vocabulary file row can hold it: a tab or a
+    line break would split the row, and the loader would refuse it."""
+    if any(c in key for c in "\t\n\r"):
+        raise DataError(f"{kind} {key!r} holds a tab or line break, which a vocabulary file cannot store")
+    return key
 
 
 @dataclass(frozen=True)
@@ -64,7 +73,7 @@ def build_condition_vocab(records, min_count: int, max_year: int | None = None) 
     base = min(years)
     top = max(max(years), max_year if max_year is not None else base)
     year_count = top - base + 1
-    kept = sorted(kw for kw, c in df.items() if c >= min_count)
+    kept = sorted(_storable("keyword", kw) for kw, c in df.items() if c >= min_count)
     keyword_ids = {kw: year_count + i for i, kw in enumerate(kept)}
     return ConditionVocab(keyword_ids, base, year_count)
 
@@ -80,12 +89,7 @@ def save_condition_vocab(vocab: ConditionVocab, path) -> None:
 def _rows(path, what: str, kinds: tuple[str, ...]):
     """(line number, kind, key, integer id) for each non-blank line; a line
     of another shape or kind is a DataError naming the file and line."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            lines = f.read().splitlines()
-    except OSError as e:
-        raise DataError(f"cannot read {what} {path}: {e}") from None
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in read_lines(path, what):
         if not line:
             continue
         row = line.split("\t")
@@ -154,7 +158,7 @@ class LabelVocab:
 
 
 def _build_label_vocab(kind: str, labels: Iterable[str]) -> LabelVocab:
-    distinct = sorted(set(labels) - {NO_LABEL})
+    distinct = sorted(_storable(f"{kind} label", lab) for lab in set(labels) - {NO_LABEL})
     ids = {NO_LABEL: 0}
     ids.update({lab: i + 1 for i, lab in enumerate(distinct)})
     return LabelVocab(kind, ids)

@@ -2,9 +2,10 @@
 
 Deliberately independent routes: enumeration instead of dynamic
 programming, explicit normalized TF-IDF vectors instead of the cancelled
-form, recursive LCS, a fully exhaustive METEOR alignment search, and LAMB
-one tensor at a time instead of over the flat arena. Slow on purpose;
-inputs stay tiny.
+form, recursive LCS, a fully exhaustive METEOR alignment search, LAMB
+one tensor at a time instead of over the flat arena, and attention and
+layer-norm gradients row by row through explicit Jacobians instead of the
+closed forms. Slow on purpose; inputs stay tiny.
 """
 
 from __future__ import annotations
@@ -224,3 +225,43 @@ def o_lamb_step(tensors, grads, m, v, step, cfg):
         trust = w_norm / u_norm if w_norm > 0 and u_norm > 0 else 1.0
         w -= (lr * trust) * update
     return lr
+
+
+# --- attention and layer norm --------------------------------------------------
+
+def o_attention_grads(q, k, v, mask, g):
+    """Gradients of sum(g * attention(q, k, v, mask)) for one head, 2-d
+    float64 arrays (``mask`` additive, (T_q, T_k)), one query row at a time
+    through the softmax Jacobian diag(p) - p pᵀ. Returns (dq, dk, dv)."""
+    scale = 1.0 / math.sqrt(q.shape[1])
+    dq, dk, dv = np.zeros_like(q), np.zeros_like(k), np.zeros_like(v)
+    for i in range(len(q)):
+        scores = np.array([scale * float(q[i] @ k[j]) + mask[i, j] for j in range(len(k))])
+        e = np.exp(scores - scores.max())
+        p = e / e.sum()
+        for j in range(len(k)):
+            dv[j] += p[j] * g[i]
+        d_probs = np.array([float(g[i] @ v[j]) for j in range(len(k))])
+        d_scores = (np.diag(p) - np.outer(p, p)) @ d_probs
+        for j in range(len(k)):
+            dq[i] += scale * d_scores[j] * k[j]
+            dk[j] += scale * d_scores[j] * q[i]
+    return dq, dk, dv
+
+
+def o_add_norm_grads(a, b, gain, g, eps=1e-5):
+    """Gradients of sum(g * (gain * layer_norm(a + b) + bias)) for 2-d
+    float64 rows, one row at a time through the Jacobian of the normalized
+    row. Returns (d_sum, d_gain, d_bias); both operands get d_sum."""
+    x = a + b
+    d = x.shape[1]
+    d_sum, d_gain, d_bias = np.zeros_like(x), np.zeros(d), np.zeros(d)
+    for r in range(len(x)):
+        mu = x[r].sum() / d
+        std = math.sqrt(float(((x[r] - mu) ** 2).sum()) / d + eps)
+        xhat = (x[r] - mu) / std
+        jac = (np.eye(d) - 1.0 / d - np.outer(xhat, xhat) / d) / std  # d xhat / d x
+        d_sum[r] = jac.T @ (g[r] * gain)
+        d_gain += g[r] * xhat
+        d_bias += g[r]
+    return d_sum, d_gain, d_bias

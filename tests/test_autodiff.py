@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from condlm import autodiff as ad
+from oracles import o_add_norm_grads, o_attention_grads
 
 
 def _fd(f, params, **kw):
@@ -14,40 +15,54 @@ def _fd(f, params, **kw):
 
 # --- forward values ----------------------------------------------------------
 
+def softmax(scores):
+    """``attend``'s probabilities for the given scores: a width-1 query of
+    1 against keys holding the scores (the scale is 1/sqrt(1))."""
+    scores = np.asarray(scores, dtype=float)
+    q = np.ones((*scores.shape[:-1], 1, 1))
+    k = scores[..., :, None]
+    return ad.attend(q, k, np.zeros_like(k))[1][..., 0, :]
+
+
 def test_softmax_two_element_value():
     # softmax([ln 1, ln 3]) = [1/4, 3/4]
-    x = ad.constant(np.array([[math.log(1.0), math.log(3.0)]]))
-    out = ad.softmax_lastdim(x).data
+    out = softmax([[math.log(1.0), math.log(3.0)]])
     np.testing.assert_allclose(out, [[0.25, 0.75]], atol=1e-12)
 
 
 def test_softmax_uniform_rows():
-    out = ad.softmax_lastdim(ad.constant(np.zeros((3, 5)))).data
+    out = softmax(np.zeros((3, 5)))
     np.testing.assert_allclose(out, np.full((3, 5), 0.2), atol=1e-12)
 
 
 def test_softmax_shift_invariance():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(4, 6))
-    a = ad.softmax_lastdim(ad.constant(x)).data
-    b = ad.softmax_lastdim(ad.constant(x + 123.0)).data
-    np.testing.assert_allclose(a, b, atol=1e-12)
+    np.testing.assert_allclose(softmax(x), softmax(x + 123.0), atol=1e-12)
 
 
 def test_softmax_masked_entries_get_zero_weight():
-    x = np.array([[0.0, -np.inf, 1.0]])
-    out = ad.softmax_lastdim(ad.constant(x)).data
-    assert out[0, 1] == 0.0
-    np.testing.assert_allclose(out.sum(), 1.0, atol=1e-12)
+    rng = np.random.default_rng(2)
+    q, k, v = rng.normal(size=(1, 4)), rng.normal(size=(3, 4)), rng.normal(size=(3, 2))
+    mask = np.array([[0.0, -np.inf, 0.0]])
+    out, p = ad.attend(q, k, v, mask)
+    assert p[0, 1] == 0.0
+    np.testing.assert_allclose(p.sum(), 1.0, atol=1e-12)
+    np.testing.assert_allclose(out, p[:, [0, 2]] @ v[[0, 2]], atol=1e-12)
+    node = ad.attention(ad.constant(q), ad.constant(k), ad.constant(v), mask)
+    np.testing.assert_array_equal(node.data, out)
 
 
 def test_softmax_rejects_nan_and_posinf_and_full_mask():
-    with pytest.raises(ValueError):
-        ad.softmax_lastdim(ad.constant(np.array([np.nan, 0.0])))
-    with pytest.raises(ValueError):
-        ad.softmax_lastdim(ad.constant(np.array([np.inf, 0.0])))
-    with pytest.raises(ValueError):
-        ad.softmax_lastdim(ad.constant(np.array([-np.inf, -np.inf])))
+    # the graph op refuses what leaves NaN probabilities in the bare kernel
+    q, v = np.ones((1, 1)), np.ones((2, 1))
+    for scores, mask in (([np.nan, 0.0], None), ([np.inf, 0.0], None),
+                         ([0.0, 0.0], np.array([[-np.inf, -np.inf]]))):
+        k = np.array(scores)[:, None]
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(ad.attend(q, k, v, mask)[1]).any()
+        with pytest.raises(ValueError, match=r"NaN or \+inf, or a fully masked row"):
+            ad.attention(ad.parameter(q), ad.parameter(k), ad.parameter(v), mask)
 
 
 def test_cross_entropy_value():
@@ -79,18 +94,23 @@ def test_layer_norm_normalizes():
     rng = np.random.default_rng(2)
     d = 8
     x = rng.normal(size=(3, d)) * 5 + 2
+    r = rng.normal(size=(3, d))
     gain = ad.constant(np.ones(d))
     bias = ad.constant(np.zeros(d))
-    out = ad.layer_norm(ad.constant(x), gain, bias).data
+    out = ad.add_norm(ad.constant(x), ad.constant(r), gain, bias).data
     np.testing.assert_allclose(out.mean(axis=-1), 0.0, atol=1e-10)
     np.testing.assert_allclose(out.var(axis=-1), 1.0, atol=1e-4)
+    # the op normalizes the sum of its operands, with the kernel's arithmetic
+    np.testing.assert_array_equal(out, ad.normalize(x + r, gain.data, bias.data)[0])
+    with pytest.raises(ValueError, match="affine shapes"):
+        ad.add_norm(ad.constant(x), ad.constant(r), ad.constant(np.ones(d - 1)), bias)
 
 
 def test_layer_norm_constant_row_collapses_to_bias():
     d = 4
     x = ad.constant(np.full((1, d), 7.0))
     bias = ad.constant(np.arange(d, dtype=float))
-    out = ad.layer_norm(x, ad.constant(np.ones(d)), bias).data
+    out = ad.add_norm(x, ad.constant(np.full((1, d), -2.0)), ad.constant(np.ones(d)), bias).data
     np.testing.assert_allclose(out, np.arange(d, dtype=float)[None, :], atol=1e-6)
 
 
@@ -157,9 +177,9 @@ def test_split_merge_heads_roundtrip_and_gradient():
     weights = rng.normal(size=(2, 4, 6))
 
     def f():
-        # a per-head softmax makes each head's gradient depend on its own columns
+        # per-head attention makes each head's gradient depend on its own columns
         heads = ad.split_heads(ad.matmul(params["x"], params["w"]), 3)
-        merged = ad.merge_heads(ad.softmax_lastdim(heads))
+        merged = ad.merge_heads(ad.attention(heads, heads, heads))
         return ad.tensor_sum(ad.mul(merged, ad.constant(weights)))
 
     res = _fd(f, params, step=1e-6)
@@ -272,16 +292,40 @@ def test_finite_diff_small_composite():
 def test_finite_diff_layer_norm_softmax_path():
     rng = np.random.default_rng(4)
     d = 6
-    params = _random_params(rng, {"x": (3, d), "g": (d,), "b": (d,), "w": (d, 4)})
+    params = _random_params(rng, {"x": (3, d), "r": (3, d), "g": (d,), "b": (d,),
+                                  "wq": (d, 4), "wk": (d, 4), "wv": (d, 4)})
+    mask = np.triu(np.full((3, 3), -np.inf), 1)
 
     def f():
-        h = ad.layer_norm(params["x"], params["g"], params["b"])
-        sm = ad.softmax_lastdim(ad.matmul(h, params["w"]))
-        return ad.tensor_sum(ad.mul(sm, ad.constant(rng_weights)))
+        h = ad.add_norm(params["x"], params["r"], params["g"], params["b"])
+        q, k, v = (ad.matmul(h, params[w]) for w in ("wq", "wk", "wv"))
+        mixed = ad.attention(q, k, v, mask)
+        return ad.tensor_sum(ad.mul(mixed, ad.constant(rng_weights)))
 
     rng_weights = np.random.default_rng(5).normal(size=(3, 4))
     res = _fd(f, params, step=1e-6)
     assert res.max_rel_error < 1e-6
+
+
+def test_attention_and_add_norm_gradients_match_jacobian_oracles():
+    rng = np.random.default_rng(9)
+    q, k, v = (ad.parameter(rng.normal(size=shape)) for shape in ((2, 3, 4), (2, 5, 4), (2, 5, 3)))
+    mask = np.where(rng.random((3, 5)) < 0.4, -np.inf, 0.0)
+    mask[:, 0] = 0.0  # every row keeps a key
+    up = rng.normal(size=(2, 3, 3))
+    ad.backward(ad.tensor_sum(ad.mul(ad.attention(q, k, v, mask), ad.constant(up))))
+    for h in range(2):
+        want = o_attention_grads(q.data[h], k.data[h], v.data[h], mask, up[h])
+        for got, expected in zip((q.grad[h], k.grad[h], v.grad[h]), want):
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    a, b = ad.parameter(rng.normal(size=(4, 6)) * 3), ad.parameter(rng.normal(size=(4, 6)))
+    gain, bias = ad.parameter(rng.normal(size=6)), ad.parameter(rng.normal(size=6))
+    up = rng.normal(size=(4, 6))
+    ad.backward(ad.tensor_sum(ad.mul(ad.add_norm(a, b, gain, bias), ad.constant(up))))
+    d_sum, d_gain, d_bias = o_add_norm_grads(a.data, b.data, gain.data, up)
+    for got, expected in ((a.grad, d_sum), (b.grad, d_sum), (gain.grad, d_gain), (bias.grad, d_bias)):
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
 
 def test_finite_diff_flags_wrong_gradient():
@@ -343,14 +387,14 @@ def test_folded_matmul_matches_einsum(monkeypatch, lead):
 @pytest.mark.parametrize("lead", [(2, 3), (2, 2, 3)])
 def test_finite_diff_folded_matmul(lead):
     rng = np.random.default_rng(7 + len(lead))
-    # one contiguous activation, and one transposed view that the fold copies
-    params = _random_params(rng, {"a": (*lead, 4), "t": (*lead[:-1], 4, lead[-1]),
+    # one contiguous activation, and one head-split view that the fold copies
+    params = _random_params(rng, {"a": (*lead, 4), "t": (*lead[:-2], lead[-1], lead[-2] * 4),
                                   "w": (4, 3)})
     weights = rng.normal(size=(2, *lead, 3))
 
     def f():
         h1 = ad.matmul(params["a"], params["w"])
-        h2 = ad.matmul(ad.swap_last2(params["t"]), params["w"])
+        h2 = ad.matmul(ad.split_heads(params["t"], lead[-2]), params["w"])
         return ad.add(ad.tensor_sum(ad.mul(ad.relu(h1), ad.constant(weights[0]))),
                       ad.tensor_sum(ad.mul(h2, ad.constant(weights[1]))))
 
@@ -363,7 +407,7 @@ def test_finite_diff_folded_matmul(lead):
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.floats(min_value=-30, max_value=30), min_size=2, max_size=8))
 def test_softmax_is_distribution(values):
-    out = ad.softmax_lastdim(ad.constant(np.array(values))).data
+    out = softmax(values)
     assert np.all(out >= 0)
     assert abs(out.sum() - 1.0) < 1e-9
 
@@ -382,6 +426,9 @@ def test_mul_backward_matches_product_rule(d, seed):
 def test_dtype_preserved_through_ops():
     x32 = ad.constant(np.ones((2, 2), dtype=np.float32))
     assert ad.matmul(x32, x32).data.dtype == np.float32
-    assert ad.softmax_lastdim(x32).data.dtype == np.float32
+    assert ad.attention(x32, x32, x32, np.zeros((2, 2))).data.dtype == np.float32
+    assert ad.attend(x32.data, x32.data, x32.data, np.zeros((2, 2)))[1].dtype == np.float32
+    assert ad.add_norm(x32, x32, ad.constant(np.ones(2, dtype=np.float32)),
+                       ad.constant(np.zeros(2, dtype=np.float32))).data.dtype == np.float32
     x64 = ad.constant(np.ones((2, 2)))
     assert ad.matmul(x64, x64).data.dtype == np.float64

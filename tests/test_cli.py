@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import shutil
 import subprocess
@@ -160,10 +161,11 @@ def test_config_file_and_unknown_field(workdir, tmp_path, capsys):
     ("d_model = 32\nheads two\n", 2, "expected 'key = value', got 'heads two'"),
     ("d_model = sixty\n", 1, "d_model: cannot parse 'sixty'"),
     ("d_model = 32\n\nflux_capacitance = 9\n", 3, "flux_capacitance: unknown configuration field"),
-], ids=["no-equals", "bad-number", "unknown-field"])
+    (b"d_model = 32\nheads = \xff\n", 2, "byte 0xff is not UTF-8 (invalid start byte)"),
+], ids=["no-equals", "bad-number", "unknown-field", "not-utf8"])
 def test_config_file_errors_name_file_and_line(workdir, tmp_path, capsys, text, line, message):
     bad = tmp_path / "bad.cfg"
-    bad.write_text(text)
+    bad.write_bytes(text) if isinstance(text, bytes) else bad.write_text(text)
     code = cli.main(["train", "--config", str(bad), "--data", str(workdir["corpus"]),
                      "--tokenizer", str(workdir["tok"]), "--vocab", str(workdir["vocab"]),
                      "--checkpoint-dir", str(tmp_path / "ck")])
@@ -236,7 +238,7 @@ def _damaged_run(workdir, tmp_path, target, text):
     shutil.copytree(workdir["vocab"], vocab)
     if target in ("conditions", "labels"):
         bad = vocab / f"{target}.tsv"
-    bad.write_text(text, encoding="utf-8")
+    bad.write_bytes(text) if isinstance(text, bytes) else bad.write_text(text, encoding="utf-8")
     generate = ["generate", "--checkpoint", str(workdir["final"]),
                 "--tokenizer", str(bad if target == "tokenizer" else workdir["tok"]),
                 "--vocab", str(vocab), "--prompts-file", str(bad if target == "prompts" else ok)]
@@ -268,6 +270,15 @@ def _damaged_run(workdir, tmp_path, target, text):
     pytest.param("conditions", "year\t1990x\t0\n", "1990x", id="conditions-year"),
     pytest.param("labels", "pos\t<none>\tzero\n", "zero", id="labels-id"),
     pytest.param("df", "#documents\t3\nthe cat\tmany\n", "many", id="df-count"),
+    pytest.param("prompts", b'{"id": "p", "title": "t\xff", "year": 1996}\n', "not UTF-8",
+                 id="prompt-bytes"),
+    pytest.param("generations", b'{"id": "p"}\n{"id": "\xff"}\n', "not UTF-8",
+                 id="generation-bytes"),
+    pytest.param("tokenizer", b"#version\t1\n\xff\t-1.0\n", "not UTF-8", id="tokenizer-bytes"),
+    pytest.param("conditions", b"year\t1996\t0\nkeyword\t\xfe\t1\n", "not UTF-8",
+                 id="conditions-bytes"),
+    pytest.param("labels", b"pos\t<none>\t0\n\xff", "not UTF-8", id="labels-bytes"),
+    pytest.param("df", b"#documents\t3\nthe \xffcat\t1\n", "not UTF-8", id="df-bytes"),
 ])
 def test_damaged_input_exits_two_naming_the_file(workdir, tmp_path, capsys, target, text, what):
     argv, bad = _damaged_run(workdir, tmp_path, target, text)
@@ -314,6 +325,65 @@ def test_evaluate_refuses_damaged_reference_line(workdir, tmp_path, capsys):
     assert f"{refs}:1:" in err and "malformed record" in err
     assert "Traceback" not in err
     assert not report.exists()
+
+
+def test_evaluate_refuses_reference_line_that_is_not_utf8(workdir, tmp_path, capsys):
+    lines = workdir["corpus"].read_bytes().split(b"\n")
+    lines[2] = lines[2].replace(b'"title"', b'"\xfftitle"', 1)
+    refs = tmp_path / "refs.jsonl"
+    refs.write_bytes(b"\n".join(lines))
+    gen = tmp_path / "gen.jsonl"
+    write_jsonl(gen, [{"id": "toy-000", "title": "the probe", "sentences": ["the probe ."]}])
+    code = cli.main(["evaluate", "--generations", str(gen), "--references", str(refs),
+                     "--df", str(workdir["df"]), "--out", str(tmp_path / "report.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{refs}:3: malformed record" in err and "0xff" in err
+
+
+def test_train_tokenizer_skips_a_record_that_is_not_utf8(workdir, tmp_path, caplog):
+    lines = workdir["corpus"].read_bytes().split(b"\n")
+    lines[1] = lines[1].replace(b'"title"', b'"\xfftitle"', 1)
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes(b"\n".join(lines))
+    with caplog.at_level(logging.WARNING):
+        code = cli.main(["train-tokenizer", "--input", str(corpus), "--vocab-size", "120",
+                         "--out", str(tmp_path / "tok.tsv")])
+    assert code == 0
+    assert any(f"{corpus}:2: skipping malformed record" in m for m in caplog.messages)
+
+
+def test_prompt_title_may_hold_unicode_line_separators(workdir, tmp_path):
+    # raw U+2028, U+0085 and a form feed are valid inside a JSON string;
+    # only "\n" ends a prompts line
+    title = "the probe\u2028assay\x85cold\x0c ."
+    prompts = tmp_path / "prompts.jsonl"
+    prompts.write_text(json.dumps({"id": "p", "title": title, "year": 1996, "keywords": []},
+                                  ensure_ascii=False) + "\n", encoding="utf-8")
+    out = tmp_path / "gen.jsonl"
+    assert cli.main(["generate", "--checkpoint", str(workdir["final"]),
+                     "--tokenizer", str(workdir["tok"]), "--vocab", str(workdir["vocab"]),
+                     "--prompts-file", str(prompts), "--n", "3", "--out", str(out)]) == 0
+    [row] = [json.loads(line) for line in out.read_text(encoding="utf-8").split("\n") if line]
+    assert row["title"] == title
+
+
+@pytest.mark.parametrize("field,value", [("keywords", ["mesh\ttab"]), ("keywords", ["two\nlines"]),
+                                         ("pos", "NO\rUN")])
+def test_build_vocab_refuses_what_its_files_cannot_store(tmp_path, capsys, field, value):
+    docs = toydata.memorization_documents()
+    if field == "keywords":
+        docs[0]["keywords"] = value
+    else:
+        docs[0]["title"][0][1] = value
+    corpus = tmp_path / "corpus.jsonl"
+    write_jsonl(corpus, docs)
+    out = tmp_path / "vocab"
+    code = cli.main(["build-vocab", "--input", str(corpus), "--min-count", "1", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert repr(value[0] if field == "keywords" else value) in err and "cannot store" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag,value", [

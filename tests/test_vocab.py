@@ -1,10 +1,12 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from condlm.corpus import AnnotatedRecord, AnnotatedToken
 from condlm.errors import DataError
-from condlm.vocab import (NO_LABEL, ConditionVocab, build_condition_vocab,
+from condlm.vocab import (NO_LABEL, ConditionVocab, LabelVocab, build_condition_vocab,
                           build_label_vocabs, load_condition_vocab,
                           load_label_vocabs, save_condition_vocab,
                           save_label_vocabs)
@@ -91,6 +93,19 @@ def test_condition_vocab_roundtrip(tmp_path):
     save_condition_vocab(v, path)
     loaded = load_condition_vocab(path)
     assert loaded == v
+
+
+def test_vocab_rows_end_only_at_a_newline(tmp_path):
+    # U+2028, U+0085, a form feed and a group separator stay inside a row
+    keywords = ["line\u2028sep", "next\x85line", "form\x0cfeed", "group\x1dsep"]
+    v = build_condition_vocab([rec("a", 1995, keywords)], min_count=1)
+    path = tmp_path / "cond.tsv"
+    save_condition_vocab(v, path)
+    assert load_condition_vocab(path) == v
+    labels = build_label_vocabs([rec("a", 1995, [])])
+    labels = dataclasses.replace(labels, pos=LabelVocab("pos", {NO_LABEL: 0, "N\u2029N": 1}))
+    save_label_vocabs(labels, tmp_path / "labels.tsv")
+    assert load_label_vocabs(tmp_path / "labels.tsv") == labels
 
 
 def test_condition_vocab_load_errors(tmp_path):
