@@ -220,6 +220,9 @@ def _prompt_rows(args):
             try:
                 title = row["title"]
                 if isinstance(title, list):  # annotated record: surfaces only
+                    if not all(isinstance(t, list) and t and isinstance(t[0], str) and t[0]
+                               for t in title):
+                        raise TypeError("a title list must hold annotated tokens")
                     title = " ".join(t[0] for t in title)
                 year, keywords = row["year"], row.get("keywords", [])
                 if isinstance(year, (bool, float)):  # int() would truncate silently

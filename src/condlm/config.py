@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -71,8 +72,16 @@ class TrainConfig:
         for field in ("batch_size", "steps"):
             if getattr(self, field) < 1:
                 raise ConfigError(f"{field}: must be a positive integer")
-        if self.peak_lr <= 0:
-            raise ConfigError(f"peak_lr: {self.peak_lr} must be positive")
+        for field in ("peak_lr", "checkpoint_fraction"):
+            if not 0 < getattr(self, field) < math.inf:
+                raise ConfigError(f"{field}: {getattr(self, field)} must be finite and positive")
+        if self.checkpoint_every_steps is not None and self.checkpoint_every_steps < 1:
+            raise ConfigError(f"checkpoint_every_steps: {self.checkpoint_every_steps} must be None or >= 1")
+        if self.log_every < 0:
+            raise ConfigError(f"log_every: {self.log_every} must be >= 0")
+        temp = self.subword_temperature
+        if temp is not None and not 0 <= temp < math.inf:
+            raise ConfigError(f"subword_temperature: {temp} must be None, or finite and >= 0")
         if self.warmup_steps < 0:
             raise ConfigError(f"warmup_steps: {self.warmup_steps} must be >= 0")
         for field in ("beta1", "beta2"):

@@ -2,10 +2,10 @@
 
 Text is lowercased and split on whitespace; each word gets a leading
 word-boundary marker (U+2581) and is segmented independently. A piece
-inventory with log-probabilities is fit by EM over the segmentation
-lattice, then pruned down to the target size. One lattice pass,
-``_segment``, gives either the Viterbi (max-likelihood) segmentation or a
-sample from the exact lattice posterior at a given temperature.
+inventory with log-probabilities is fit by EM over each word's
+segmentation lattice, then pruned down to the target size. ``_lattice``
+builds that lattice once per word and pass, and ``_forward`` runs its
+forward pass for Viterbi and sampled segmentation and for the E-step alike.
 
 Ids 0..3 are reserved: pad, unknown, start-of-abstract, end-of-abstract.
 Unknown characters segment as single-char unknown arcs.
@@ -27,6 +27,7 @@ MAX_PIECE_LEN = 6  # seed pieces are substrings up to this length
 PRUNE_STEP = 0.2   # fraction of prunable pieces dropped per outer round
 UNK_SCORE = -100.0  # lattice arc score for a character no piece covers
 EM_STEPS = 2       # EM steps between pruning rounds
+_LN2 = math.log(2.0)
 
 PAD_ID = 0
 UNK_ID = 1
@@ -69,57 +70,60 @@ def _words(text: str) -> list[str]:
     return [MARKER + w for w in text.lower().split()]
 
 
-def _arcs(word: str, pieces: dict[str, float], max_len: int | None = None):
-    """All lattice arcs (start, end, piece, score) covering ``word``.
-
-    Positions with no covering piece get a single-char unknown arc, so the
-    lattice always spans the word.
-    """
+def _lattice(word: str, pieces: dict[str, float], max_len: int | None = None):
+    """``out[i]``: the arcs (end, piece, score) leaving position i of
+    ``word``, in ascending end. A position where no piece starts gets one
+    single-char unknown arc, so the lattice always spans the word."""
     n = len(word)
     if max_len is None:
         max_len = n  # no longer piece can match inside the word
-    arcs = []
-    covered_from = [False] * n
+    out = []
     for i in range(n):
+        arcs = []
         for j in range(i + 1, min(n, i + max_len) + 1):
             piece = word[i:j]
             lp = pieces.get(piece)
             if lp is not None:
-                arcs.append((i, j, piece, lp))
-                covered_from[i] = True
-    for i in range(n):
-        if not covered_from[i]:
-            arcs.append((i, i + 1, None, UNK_SCORE))
-    return arcs
+                arcs.append((j, piece, lp))
+        out.append(arcs or [(i + 1, None, UNK_SCORE)])
+    return out
+
+
+def _forward(out, inv: float, viterbi: bool):
+    """Push the arc scores of a ``_lattice``, times ``inv``, in ascending
+    start order. Returns (alpha, into); ``into[j]`` lists the (start, piece,
+    score) of the arcs into j. Viterbi combines with a strict ``>`` max, so
+    the first best arc in ascending start order wins ties; else ``_logaddexp``."""
+    alpha = [0.0] + [-math.inf] * len(out)
+    into = [[] for _ in alpha]
+    for i, arcs in enumerate(out):
+        a = alpha[i]
+        for j, piece, lp in arcs:
+            lp *= inv
+            into[j].append((i, piece, lp))
+            if not viterbi:
+                alpha[j] = _logaddexp(alpha[j], a + lp)
+            elif a + lp > alpha[j]:
+                alpha[j] = a + lp
+    return alpha, into
 
 
 def _segment(word: str, pieces: dict[str, float], temperature: float = 0.0,
              rng: np.random.Generator | None = None) -> tuple[list[str | None], float]:
     """Segment one marked word: (pieces, score); ``None`` is an unknown char.
 
-    One forward pass over the lattice arcs grouped by end position. At
-    temperature <= 0 it takes the max, and the walk back follows the first
-    best arc in ascending start order: the Viterbi path and its score.
-    Otherwise it takes log-sum-exp of the tempered scores, and the walk back
-    draws each arc from ``rng``: an exact sample with probability
-    proportional to likelihood ** (1/temperature), scored by the tempered
-    log partition."""
-    n = len(word)
+    At temperature <= 0 the forward pass takes the max, and the walk back
+    follows the first best arc in ascending start order: the Viterbi path
+    and its score. Otherwise it takes log-sum-exp of the tempered scores,
+    and the walk back draws each arc from ``rng``: an exact sample with
+    probability proportional to likelihood ** (1/temperature), scored by
+    the tempered log partition."""
     viterbi = temperature <= 0
-    inv = 1.0 if viterbi else 1.0 / temperature
-    into: list[list[tuple[int, str | None, float]]] = [[] for _ in range(n + 1)]
-    for i, j, piece, lp in _arcs(word, pieces):
-        into[j].append((i, piece, lp * inv))
-    reduce = max if viterbi else _logsumexp
-    alpha = [0.0] * (n + 1)
-    incoming: list = [None] * (n + 1)  # scores of the arcs into each position
-    for j in range(1, n + 1):
-        scores = incoming[j] = [alpha[i] + lp for i, _, lp in into[j]]
-        alpha[j] = reduce(scores) if scores else -math.inf
+    alpha, into = _forward(_lattice(word, pieces), 1.0 if viterbi else 1.0 / temperature, viterbi)
     out: list[str | None] = []
-    pos = n
+    pos = len(word)
     while pos > 0:
-        scores = incoming[pos]
+        scores = [alpha[i] + lp for i, _, lp in into[pos]]
         if viterbi:
             k = scores.index(alpha[pos])
         else:
@@ -128,7 +132,16 @@ def _segment(word: str, pieces: dict[str, float], temperature: float = 0.0,
         pos, piece, _ = into[pos][k]
         out.append(piece)
     out.reverse()
-    return out, alpha[n]
+    return out, alpha[-1]
+
+
+def _logaddexp(x: float, y: float) -> float:
+    """``np.logaddexp`` on Python floats, with numpy's own formula."""
+    if x == y:
+        return x + _LN2
+    if x < y:
+        x, y = y, x
+    return x + math.log1p(math.exp(y - x))
 
 
 def _logsumexp(xs) -> float:
@@ -206,37 +219,20 @@ def _em_step(pieces: dict[str, float], word_counts: Counter) -> tuple[dict[str, 
     loglik = 0.0
     max_len = max(len(p) for p in pieces)
     for word, freq in word_counts.items():
-        n = len(word)
-        arcs = _arcs(word, pieces, max_len)
-        arcs_at = [[] for _ in range(n)]
-        for i, j, piece, lp in arcs:
-            arcs_at[i].append((j, piece, lp))
-        alpha = np.full(n + 1, -np.inf)
-        alpha[0] = 0.0
-        for i in range(n):
-            if alpha[i] == -np.inf:
-                continue
-            for j, piece, lp in arcs_at[i]:
-                alpha[j] = np.logaddexp(alpha[j], alpha[i] + lp)
-        beta = np.full(n + 1, -np.inf)
-        beta[n] = 0.0
-        for i in range(n - 1, -1, -1):
-            for j, piece, lp in arcs_at[i]:
-                beta[i] = np.logaddexp(beta[i], lp + beta[j])
-        z = alpha[n]
+        out = _lattice(word, pieces, max_len)
+        alpha, _ = _forward(out, 1.0, False)
+        beta = [-math.inf] * len(out) + [0.0]
+        for i in range(len(out) - 1, -1, -1):
+            for j, _, lp in out[i]:
+                beta[i] = _logaddexp(beta[i], lp + beta[j])
+        z = alpha[-1]
         loglik += freq * z
-        for i in range(n):
-            if alpha[i] == -np.inf:
-                continue
-            for j, piece, lp in arcs_at[i]:
-                if piece is None:
-                    continue
-                post = math.exp(alpha[i] + lp + beta[j] - z)
-                expected[piece] += freq * post
-    total = sum(expected.values())
-    floor = 1e-300  # keep log finite; posteriors stay strictly positive
-    updated = {p: math.log(max(c, floor) / total) for p, c in expected.items()}
-    return updated, loglik
+        for i, arcs in enumerate(out):
+            for j, piece, lp in arcs:
+                if piece is not None:
+                    expected[piece] += freq * math.exp(alpha[i] + lp + beta[j] - z)
+    total = sum(expected.values())  # the floor keeps log finite where a count underflows
+    return {p: math.log(max(c, 1e-300) / total) for p, c in expected.items()}, loglik
 
 
 def _prune(pieces: dict[str, float], word_counts: Counter, target_pieces: int) -> dict[str, float]:

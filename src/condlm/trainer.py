@@ -293,9 +293,14 @@ def load_checkpoint(path, expect_hash: str | None = None) -> Checkpoint:
         if stored is None or stored.shape != shape:
             raise DataError(f"checkpoint {path} is missing tensor {name} or has a wrong shape")
         tensors[name] = ad.parameter(stored)
-        if f"m:{name}" in arrays:
-            opt.m[name] = arrays[f"m:{name}"]
-            opt.v[name] = arrays[f"v:{name}"]
+        m, v = arrays.get(f"m:{name}"), arrays.get(f"v:{name}")
+        if (m is None) != (v is None):
+            raise DataError(f"checkpoint {path} holds one moment of tensor {name} without the other")
+        if m is not None:
+            if m.shape != shape or v.shape != shape:
+                raise DataError(f"checkpoint {path} has a moment of tensor {name} "
+                                f"whose shape is not {shape}")
+            opt.m[name], opt.v[name] = m, v
     return Checkpoint(ModelParameters(model_cfg, tensors), opt, rng, model_cfg, train_cfg, step)
 
 
@@ -324,7 +329,7 @@ def _draw_batch(records: list[AnnotatedRecord], tok: TokenizerModel,
 
 def _checkpoint_cadence(cfg: TrainConfig, corpus_size: int) -> int:
     if cfg.checkpoint_every_steps is not None:
-        return max(1, cfg.checkpoint_every_steps)
+        return cfg.checkpoint_every_steps
     per_batch = cfg.batch_size
     return max(1, round(cfg.checkpoint_fraction * corpus_size / per_batch))
 

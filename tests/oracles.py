@@ -1,11 +1,12 @@
 """Brute-force reference implementations used only by the tests.
 
 Deliberately independent routes: enumeration instead of dynamic
-programming, explicit normalized TF-IDF vectors instead of the cancelled
-form, recursive LCS, a fully exhaustive METEOR alignment search, LAMB
-one tensor at a time instead of over the flat arena, and attention and
-layer-norm gradients row by row through explicit Jacobians instead of the
-closed forms. Slow on purpose; inputs stay tiny.
+programming, an E-step on numpy scalars over its own arc lists, explicit
+normalized TF-IDF vectors instead of the cancelled form, recursive LCS, a
+fully exhaustive METEOR alignment search, LAMB one tensor at a time
+instead of over the flat arena, and attention and layer-norm gradients row
+by row through explicit Jacobians instead of the closed forms. Slow on
+purpose; inputs stay tiny.
 """
 
 from __future__ import annotations
@@ -190,6 +191,46 @@ def o_em_step(pieces, word_counts):
         for seg, w in zip(segs, weights):
             for p in seg:
                 expected[p] += freq * w / z
+    total = sum(expected.values())
+    return {p: math.log(max(c, 1e-300) / total) for p, c in expected.items()}, loglik
+
+
+def o_em_step_numpy(pieces, word_counts, unk_score=-100.0):
+    """One EM step as forward-backward over arcs grouped by start, with one
+    ``np.logaddexp`` call per arc: the tokenizer's former E-step, kept to
+    pin the accumulation order of the scalar one bit for bit."""
+    expected = {p: 0.0 for p in pieces}
+    loglik = 0.0
+    max_len = max(len(p) for p in pieces)
+    for word, freq in word_counts.items():
+        n = len(word)
+        arcs_at = [[] for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, min(n, i + max_len) + 1):
+                if word[i:j] in pieces:
+                    arcs_at[i].append((j, word[i:j], pieces[word[i:j]]))
+            if not arcs_at[i]:  # a character no piece covers
+                arcs_at[i].append((i + 1, None, unk_score))
+        alpha = np.full(n + 1, -np.inf)
+        alpha[0] = 0.0
+        for i in range(n):
+            if alpha[i] == -np.inf:
+                continue
+            for j, piece, lp in arcs_at[i]:
+                alpha[j] = np.logaddexp(alpha[j], alpha[i] + lp)
+        beta = np.full(n + 1, -np.inf)
+        beta[n] = 0.0
+        for i in range(n - 1, -1, -1):
+            for j, piece, lp in arcs_at[i]:
+                beta[i] = np.logaddexp(beta[i], lp + beta[j])
+        z = alpha[n]
+        loglik += freq * z
+        for i in range(n):
+            if alpha[i] == -np.inf:
+                continue
+            for j, piece, lp in arcs_at[i]:
+                if piece is not None:
+                    expected[piece] += freq * math.exp(alpha[i] + lp + beta[j] - z)
     total = sum(expected.values())
     return {p: math.log(max(c, 1e-300) / total) for p, c in expected.items()}, loglik
 

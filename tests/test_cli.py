@@ -173,7 +173,9 @@ def test_config_file_errors_name_file_and_line(workdir, tmp_path, capsys, text, 
     assert capsys.readouterr().err == f"configuration error: {bad}:{line}: {message}\n"
 
 
-@pytest.mark.parametrize("line", ["eps = 0", "beta2 = 1.0", "weight_decay = -0.5"])
+@pytest.mark.parametrize("line", ["eps = 0", "beta2 = 1.0", "weight_decay = -0.5",
+                                  "peak_lr = nan", "checkpoint_fraction = nan",
+                                  "subword_temperature = nan"])
 def test_train_rejects_bad_lamb_settings(workdir, tmp_path, capsys, line):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"d_model = 32\nheads = 2\nsteps = 2\nbatch_size = 4\n{line}\n")
@@ -261,6 +263,10 @@ def _damaged_run(workdir, tmp_path, target, text):
                  id="prompt-fractional-year"),
     pytest.param("prompts", '{"id": "p", "title": "t", "year": 1996, "keywords": "k"}\n',
                  "keywords a list of strings", id="prompt-keywords-string"),
+    pytest.param("prompts", '{"id": "p", "title": ["tumor", "gene"], "year": 1996}\n',
+                 "malformed prompt", id="prompt-title-plain-strings"),
+    pytest.param("prompts", '{"id": "p", "title": [["tumor", "NN"], [""]], "year": 1996}\n',
+                 "malformed prompt", id="prompt-title-empty-token"),
     pytest.param("generations", "[1, 2]\n", "not a JSON object", id="generation-array"),
     pytest.param("generations", '{"id": "p", "sentences": "one"}\n', "list of sentence strings",
                  id="generation-sentences-string"),

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from condlm import tokenizer as tk
 from condlm.errors import DataError
 
-from oracles import o_best_segmentation_score, o_em_step, o_segmentations
+from oracles import o_best_segmentation_score, o_em_step, o_em_step_numpy, o_segmentations
 
 # Hand lattice: P(▁)=1 (normalization aside), the interesting mass is on
 # splitting "ab" as one piece vs two.
@@ -165,6 +165,45 @@ def test_em_step_matches_enumeration_oracle():
             assert pieces[p] == pytest.approx(oracle[p], abs=1e-9)
 
 
+def _assert_em_steps_match_numpy_oracle(pieces, counts, steps):
+    oracle = dict(pieces)
+    for _ in range(steps):
+        pieces, ll = tk._em_step(pieces, counts)
+        oracle, o_ll = o_em_step_numpy(oracle, counts)
+        assert pieces == oracle and ll == o_ll  # bit for bit, same accumulation order
+
+
+def test_em_step_equals_numpy_oracle_on_toy_corpus(toy_records):
+    counts = Counter()
+    for rec in toy_records:
+        for text in [rec.title_text()] + rec.sentence_texts():
+            counts.update(tk._words(text))
+    _assert_em_steps_match_numpy_oracle(tk._seed_pieces(counts), counts, 4)
+
+
+def test_em_step_equals_numpy_oracle_with_unknown_characters():
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        counts = Counter({tk.MARKER + "".join(rng.choice(list("abcz"), size=rng.integers(1, 9))):
+                          int(rng.integers(1, 5)) for _ in range(20)})
+        pieces = {"".join(rng.choice(list("ab▁c"), size=rng.integers(1, 5))):
+                  float(-rng.uniform(0.1, 8.0)) for _ in range(25)}
+        _assert_em_steps_match_numpy_oracle(pieces, counts, 3)
+
+
+def test_logaddexp_equals_numpy():
+    rng = np.random.default_rng(0)
+    xs = rng.normal(0, 50, 20_000) * rng.choice([1e-3, 1.0, 1e3], 20_000)
+    ys = np.concatenate([rng.normal(0, 50, 10_000), xs[:5_000] + rng.normal(0, 1e-12, 5_000),
+                         xs[5_000:10_000]])  # near-equal, then equal arguments
+    inf = math.inf
+    pairs = list(zip(xs.tolist(), ys.tolist())) + [
+        (a, b) for a in (-inf, inf, 0.0, -3.5) for b in (-inf, inf, 0.0, -3.5)]
+    for x, y in pairs:
+        want = float(np.logaddexp(x, y))
+        assert tk._logaddexp(x, y) == want and tk._logaddexp(y, x) == want, (x, y)
+
+
 def test_em_loglik_is_monotone():
     counts = em_corpus()
     pieces = tk._seed_pieces(counts)
@@ -252,7 +291,7 @@ def test_roundtrip_normalizes_case_and_whitespace():
     assert tk.decode(model, tk.encode_viterbi(model, "  AB   a\tB ")) == "ab a b"
 
 
-def test_arcs_default_bound_matches_longest_piece_bound():
+def test_lattice_default_bound_matches_longest_piece_bound():
     # pieces longer than the word can never match inside it, so bounding
     # arcs by the word's length gives the same lattice
     rng = np.random.default_rng(0)
@@ -261,7 +300,13 @@ def test_arcs_default_bound_matches_longest_piece_bound():
                      for _ in range(rng.integers(1, 25))}
         word = tk.MARKER + "".join(rng.choice(list("ab"), size=rng.integers(0, 8)))
         longest = max(len(p) for p in inventory)
-        assert tk._arcs(word, inventory) == tk._arcs(word, inventory, longest)
+        assert tk._lattice(word, inventory) == tk._lattice(word, inventory, longest)
+
+
+def test_lattice_lists_arcs_by_start_in_ascending_end():
+    out = tk._lattice("▁abx", HAND)
+    assert out == [[(1, "▁", 0.0)], [(2, "a", -1.0), (3, "ab", -1.5)], [(3, "b", -1.0)],
+                   [(4, None, tk.UNK_SCORE)]]
 
 
 # --- save / load ---------------------------------------------------------------

@@ -42,6 +42,11 @@ def test_lr_warmup_ramp():
 @pytest.mark.parametrize("key, value", [
     ("eps", 0.0), ("eps", -1e-8), ("beta1", 1.0), ("beta1", -0.1),
     ("beta2", 1.0), ("beta2", 1.5), ("weight_decay", -0.01), ("eps", float("nan")),
+    ("peak_lr", float("nan")), ("peak_lr", float("inf")), ("peak_lr", 0.0),
+    ("checkpoint_fraction", 0.0), ("checkpoint_fraction", float("nan")),
+    ("checkpoint_fraction", float("inf")), ("checkpoint_every_steps", 0),
+    ("log_every", -3), ("subword_temperature", float("nan")),
+    ("subword_temperature", -0.5), ("subword_temperature", float("inf")),
 ])
 def test_train_config_rejects_bad_lamb_settings(key, value):
     TrainConfig().validate()
@@ -51,6 +56,7 @@ def test_train_config_rejects_bad_lamb_settings(key, value):
 
 def test_train_config_accepts_lamb_edges():
     TrainConfig(beta1=0.0, beta2=0.0, weight_decay=0.0, eps=1e-12).validate()
+    TrainConfig(checkpoint_every_steps=1, log_every=0, subword_temperature=0.0).validate()
 
 
 # --- LAMB -------------------------------------------------------------------------
@@ -324,6 +330,23 @@ def test_damaged_checkpoints_name_the_file(tmp_path):
     short = damaged("short.bin", raw[:-100])
     with pytest.raises(DataError, match=rf"short\.bin is truncated: tensor {last} runs past"):
         tr.load_checkpoint(short)
+
+    def retabled(name, tensors):
+        # the manifest with another tensor table, padded to its old length
+        # so that the payload stays where it was
+        blob = json.dumps(dict(manifest, tensors=tensors), sort_keys=True,
+                          separators=(",", ":")).encode()
+        return damaged(name, raw[:16] + blob.ljust(end - 16) + raw[end:])
+
+    lone = retabled("lone-moment.bin", [e for e in manifest["tensors"] if e["name"] != "v:tok_emb"])
+    with pytest.raises(DataError, match=r"lone-moment\.bin holds one moment of tensor tok_emb without"):
+        tr.load_checkpoint(lone)
+    # the same bytes under the transposed shape: a resume would read scrambled moments
+    transposed = retabled("transposed.bin", [dict(e, shape=e["shape"][::-1]) if e["name"] == "m:tok_emb"
+                                             else e for e in manifest["tensors"]])
+    with pytest.raises(DataError, match=r"transposed\.bin has a moment of tensor tok_emb whose shape"):
+        tr.load_checkpoint(transposed)
+    assert tr.load_checkpoint(retabled("intact.bin", manifest["tensors"])).step == opt.step
     manifest["tensors"][0]["nbytes"] += 4
     blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
     resized = damaged("resized.bin", raw[:4] + struct.pack("<IQ", tr.CHECKPOINT_VERSION, len(blob))
