@@ -2,7 +2,8 @@
 """Run the whole pipeline on the built-in eight-document toy corpus.
 
 Writes every artifact the CLI knows how to produce into a work directory,
-then prints the evaluation report. With the default 2000 steps the model
+resumes training from the final checkpoint for ten more steps, then prints
+the evaluation report. With the default 2000 steps the model
 memorizes the corpus and greedy decoding reproduces the abstracts; pass a
 smaller --steps for a quick smoke run.
 
@@ -47,6 +48,7 @@ def main_script():
     vocab = work / "vocab"
     df = work / "df.tsv"
     ckpts = work / "checkpoints"
+    resumed = work / "checkpoints-resumed"
     gen = work / "generations.jsonl"
     report = work / "report.json"
 
@@ -59,6 +61,11 @@ def main_script():
          "--tokenizer", str(tok), "--vocab", str(vocab),
          "--checkpoint-dir", str(ckpts), "--steps", str(args.steps),
          "--seed", str(args.seed)])
+    # ten more steps from the final checkpoint, trained in its read buffer
+    run(["train", "--config", "toy", "--data", str(corpus),
+         "--tokenizer", str(tok), "--vocab", str(vocab),
+         "--checkpoint-dir", str(resumed), "--resume", str(ckpts / "final.bin"),
+         "--steps", str(args.steps + 10)])
     run(["generate", "--checkpoint", str(ckpts / "final.bin"),
          "--tokenizer", str(tok), "--vocab", str(vocab),
          "--prompts-file", str(corpus), "--n", "48",

@@ -109,13 +109,20 @@ def _build_parser() -> Parser:
     return parser
 
 
+def _sample_cap(args) -> int | None:
+    """``--sample`` as a cap, None for all."""
+    if args.sample < 0:
+        raise ConfigError(f"--sample: {args.sample} must be >= 0 (0 = all)")
+    return args.sample or None
+
+
 def _cmd_train_tokenizer(args) -> int:
+    cap = _sample_cap(args)
     sentences = []
     for rec in load_records(args.input):
         sentences.append(rec.title_text())
         sentences.extend(rec.sentence_texts())
-    model = train_unigram(sentences, args.vocab_size, seed=args.seed,
-                          sample=args.sample or None)
+    model = train_unigram(sentences, args.vocab_size, seed=args.seed, sample=cap)
     save_tokenizer(model, args.out)
     print(f"trained {model.vocab_size} pieces (specials included) -> {args.out}")
     return EXIT_OK
@@ -134,12 +141,13 @@ def _cmd_build_vocab(args) -> int:
 
 
 def _cmd_build_df(args) -> int:
+    cap = _sample_cap(args)
     docs = []
     for rec in load_records(args.input):
         docs.append(met.tokenize(" ".join(rec.sentence_texts())))
-    if args.sample and args.sample < len(docs):
+    if cap is not None and cap < len(docs):
         rng = np.random.default_rng(args.seed)
-        idx = rng.choice(len(docs), size=args.sample, replace=False)
+        idx = rng.choice(len(docs), size=cap, replace=False)
         docs = [docs[i] for i in sorted(idx)]
     corpus = met.build_df(docs)
     met.save_df(corpus, args.out)

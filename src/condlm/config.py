@@ -12,6 +12,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -45,8 +46,9 @@ class ModelConfig:
         for field in ("d_model", "heads", "encoder_blocks", "decoder_blocks",
                       "ff_size", "max_seq", "token_vocab", "pos_vocab",
                       "dep_vocab", "ent_vocab", "cond_vocab"):
-            if getattr(self, field) < 1:
-                raise ConfigError(f"{field}: must be a positive integer")
+            value = getattr(self, field)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ConfigError(f"{field}: {value!r} must be a positive integer")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout: {self.dropout} outside [0, 1)")
 
@@ -70,8 +72,9 @@ class TrainConfig:
 
     def validate(self) -> None:
         for field in ("batch_size", "steps"):
-            if getattr(self, field) < 1:
-                raise ConfigError(f"{field}: must be a positive integer")
+            value = getattr(self, field)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ConfigError(f"{field}: {value!r} must be a positive integer")
         for field in ("peak_lr", "checkpoint_fraction"):
             if not 0 < getattr(self, field) < math.inf:
                 raise ConfigError(f"{field}: {getattr(self, field)} must be finite and positive")

@@ -20,6 +20,7 @@ row only.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -45,8 +46,8 @@ class GenerationRequest:
     def validate(self) -> None:
         if self.max_tokens < 1:
             raise ValueError(f"max_tokens must be >= 1, got {self.max_tokens}")
-        if self.temperature < 0:
-            raise ValueError(f"temperature must be >= 0, got {self.temperature}")
+        if not 0 <= self.temperature < math.inf:
+            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
         if self.top_k is not None and self.top_k < 1:
             raise ValueError(f"top_k must be >= 1, got {self.top_k}")
         if self.top_p is not None and not 0.0 < self.top_p <= 1.0:

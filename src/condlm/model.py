@@ -29,6 +29,7 @@ between calls, so a window that grows by one token runs only that token.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,30 +42,31 @@ INIT_STD = 0.02
 NEG_INF = float("-inf")
 
 
-@dataclass
-class Arena:
-    """Every parameter's data, and every gradient, as views of one flat
-    buffer each, in ``ModelParameters`` order. Tensor i occupies
-    ``spans[i]`` (start, stop) of both buffers; ``datas[i]`` and
-    ``grads[i]`` are its views."""
-    data: np.ndarray
-    grad: np.ndarray
-    spans: list[tuple[int, int]]
-    datas: list[np.ndarray]
-    grads: list[np.ndarray]
-
-
 class ModelParameters:
-    """Flat name -> Tensor mapping plus the config that shaped it.
+    """Name -> Tensor mapping plus the config that shaped it.
 
-    The first training step moves the tensors' data into an ``Arena``
-    (see ``arena``); until then each tensor keeps the array it was built
-    with, so a loaded checkpoint stays a set of views of its read buffer."""
+    Every tensor's ``data`` is a view of one flat buffer, the arena:
+    ``data``, with tensor i in ``spans[i]`` (start, stop), in ``shapes``
+    order. The buffer comes from ``init_parameters`` or is a view of a
+    checkpoint's parameter block; ``layout`` lays any buffer of its size
+    out the same way, as LAMB's moments are. The gradient buffer ``grad``
+    is allocated by the first ``zero_grad`` or LAMB step, so a model that
+    only decodes never holds one."""
 
-    def __init__(self, config: ModelConfig, tensors: dict[str, Tensor]):
+    def __init__(self, config: ModelConfig, data: np.ndarray,
+                 shapes: dict[str, tuple[int, ...]] | None = None):
         self.config = config
-        self.tensors = tensors
-        self._arena: Arena | None = None
+        self.shapes = parameter_shapes(config) if shapes is None else shapes
+        stops = np.cumsum([math.prod(s) for s in self.shapes.values()]).tolist()
+        if data.shape != (stops[-1],) or not data.flags.c_contiguous:
+            raise ValueError(f"the arena is one contiguous buffer of {stops[-1]} elements, "
+                             f"not {data.shape}")
+        self.data = data
+        self.spans = list(zip([0] + stops[:-1], stops))
+        self.tensors = {name: ad.parameter(view) for name, view in self.layout(data).items()}
+        self._views = [t.data for t in self.tensors.values()]
+        self.grad: np.ndarray | None = None
+        self._grads: list[np.ndarray] = []
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
@@ -72,41 +74,33 @@ class ModelParameters:
     def items(self):
         return self.tensors.items()
 
-    def arena(self) -> Arena:
-        """The flat buffers. Built on first use by copying every tensor's
-        data in and rebinding ``tensor.data`` to its view; built again if
-        a tensor's data has been rebound since."""
-        tensors = list(self.tensors.values())
-        arena = self._arena
-        if arena is not None and len(arena.datas) == len(tensors) \
-                and all(t.data is view for t, view in zip(tensors, arena.datas)):
-            return arena
-        dtype = tensors[0].data.dtype
-        if any(t.data.dtype != dtype for t in tensors):
-            raise ValueError("parameters of mixed dtypes cannot share one arena")
-        stops = np.cumsum([t.data.size for t in tensors]).tolist()
-        spans = list(zip([0] + stops[:-1], stops))
-        data = np.empty(stops[-1], dtype=dtype)
-        grad = np.zeros(stops[-1], dtype=dtype)
-        datas, grads = [], []
-        for t, (a, b) in zip(tensors, spans):
-            view = data[a:b].reshape(t.data.shape)
-            view[...] = t.data
-            t.data = view
-            datas.append(view)
-            grads.append(grad[a:b].reshape(t.data.shape))
-        self._arena = Arena(data, grad, spans, datas, grads)
-        return self._arena
+    def layout(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Per-tensor views of a flat buffer laid out like the arena."""
+        return {name: flat[a:b].reshape(shape)
+                for (name, shape), (a, b) in zip(self.shapes.items(), self.spans)}
+
+    def grads(self) -> list[np.ndarray]:
+        """Per-tensor views of the gradient buffer, allocated on first use.
+        A tensor whose ``data`` has been rebound away from its arena view
+        is refused: training would update the arena, not that array."""
+        for (name, t), view in zip(self.tensors.items(), self._views):
+            if t.data is not view:
+                raise ValueError(f"parameter {name} no longer holds its view of the arena; "
+                                 f"write into its data instead of rebinding it")
+        if self.grad is None:
+            self.grad = np.zeros_like(self.data)
+            self._grads = list(self.layout(self.grad).values())
+        return self._grads
 
     def zero_grad(self) -> None:
-        """Zero the gradient arena in one fill and bind every tensor's
+        """Zero the gradient buffer in one fill and bind every tensor's
         ``grad`` to its view, so backward accumulates in place."""
-        arena = self.arena()
-        ad.zero_grad(self.tensors.values(), arena.grad, arena.grads)
+        grads = self.grads()
+        ad.zero_grad(self.tensors.values(), self.grad, grads)
 
     @property
     def dtype(self):
-        return self["tok_emb"].data.dtype
+        return self.data.dtype
 
 
 def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -149,28 +143,29 @@ def init_parameters(config: ModelConfig, rng: np.random.Generator,
     """Scaled-normal init (std 0.02) for projections and embeddings;
     LayerNorm gains start at 1 and biases at 0. Attention projections are
     drawn head by head (q, k, v of head 0, then of head 1, ...) and
-    concatenated into the fused tensors."""
+    concatenated into the fused tensors. Each is written into its view of
+    the arena."""
     config.validate()
     hd = config.head_dim
 
     def draw(shape) -> np.ndarray:
         return rng.normal(0.0, INIT_STD, shape).astype(dtype)
 
-    tensors: dict[str, Tensor] = {}
-    for name, shape in parameter_shapes(config).items():
+    shapes = parameter_shapes(config)
+    params = ModelParameters(config, np.empty(sum(math.prod(s) for s in shapes.values()), dtype))
+    for name, shape in shapes.items():
         prefix, _, part = name.rpartition(".")
         if part == "gain":
-            tensors[name] = ad.parameter(np.ones(shape, dtype=dtype))
+            params[name].data[...] = 1
         elif part == "bias":
-            tensors[name] = ad.parameter(np.zeros(shape, dtype=dtype))
+            params[name].data[...] = 0
         elif part == "q":
             heads = [[draw((shape[0], hd)) for _ in "qkv"] for _ in range(config.heads)]
             for j, fused in enumerate("qkv"):
-                tensors[f"{prefix}.{fused}"] = ad.parameter(
-                    np.concatenate([h[j] for h in heads], axis=1))
+                params[f"{prefix}.{fused}"].data[...] = np.concatenate([h[j] for h in heads], axis=1)
         elif part not in ("k", "v"):
-            tensors[name] = ad.parameter(draw(shape))
-    return ModelParameters(config, tensors)
+            params[name].data[...] = draw(shape)
+    return params
 
 
 def positional_encoding(n: int, d_model: int, dtype=ad.WIDE) -> np.ndarray:

@@ -322,9 +322,10 @@ def test_criterion_08_lamb():
     # (a) one scalar step against the formula evaluated with plain floats
     cfg = TrainConfig(peak_lr=1e-2, warmup_steps=2, weight_decay=0.01)
     w, g = 0.5, 0.3
-    t = ad.parameter(np.array([w]))
+    params = ModelParameters(mcfg, np.array([w]), {"w": (1,)})
+    t = params["w"]
     t.grad = np.array([g])
-    tr.lamb_step(ModelParameters(mcfg, {"w": t}), tr.OptimizerState(), cfg)
+    tr.lamb_step(params, tr.OptimizerState(), cfg)
     lr = cfg.peak_lr * 1 / cfg.warmup_steps
     m_hat = (1 - cfg.beta1) * g / (1 - cfg.beta1)
     v_hat = (1 - cfg.beta2) * g * g / (1 - cfg.beta2)
@@ -339,7 +340,7 @@ def test_criterion_08_lamb():
     g0 = rng.normal(size=(4, 3))
     deltas = []
     for c in (1.0, 10.0):
-        params = ModelParameters(mcfg, {"w": ad.parameter(c * w0.copy())})
+        params = ModelParameters(mcfg, (c * w0).ravel(), {"w": w0.shape})
         params["w"].grad = c * g0.copy()
         tr.lamb_step(params, tr.OptimizerState(), inv_cfg)
         deltas.append((params["w"].data - c * w0) / c)

@@ -202,7 +202,9 @@ def test_checkpoint_artifact_mismatch_rejected(workdir, tmp_path, capsys):
 
 @pytest.mark.parametrize("damage,message", [
     (lambda raw: raw[:4] + (1).to_bytes(4, "little") + raw[8:],
-     "was written by format 1, which this version cannot read; re-save or re-train it"),
+     "was written by format 1, which this version cannot read; re-train it"),
+    (lambda raw: raw[:4] + (2).to_bytes(4, "little") + raw[8:],
+     "was written by format 2, which this version cannot read; re-train it"),
     (lambda raw: raw[:16] + b"[" + raw[17:], "manifest is not valid JSON"),
 ])
 def test_generate_damaged_checkpoint_exits_two(workdir, tmp_path, capsys, damage, message):
@@ -217,16 +219,13 @@ def test_generate_damaged_checkpoint_exits_two(workdir, tmp_path, capsys, damage
     assert "Traceback" not in err
 
 
-def test_generate_names_the_truncated_tensor(workdir, tmp_path, capsys):
-    raw = workdir["final"].read_bytes()
-    manifest_end = 16 + int.from_bytes(raw[8:16], "little")
-    last = json.loads(raw[16:manifest_end])["tensors"][-1]["name"]
+def test_generate_names_the_truncated_block(workdir, tmp_path, capsys):
     bad = tmp_path / "short.bin"
-    bad.write_bytes(raw[:-8])
+    bad.write_bytes(workdir["final"].read_bytes()[:-8])
     assert cli.main(["generate", "--checkpoint", str(bad),
                      "--tokenizer", str(workdir["tok"]), "--vocab", str(workdir["vocab"]),
                      "--title", "the probe", "--year", "1996"]) == 2
-    assert f"tensor {last} runs past the payload" in capsys.readouterr().err
+    assert f"checkpoint {bad} is truncated inside its v block" in capsys.readouterr().err
 
 
 def _damaged_run(workdir, tmp_path, target, text):
@@ -393,7 +392,8 @@ def test_build_vocab_refuses_what_its_files_cannot_store(tmp_path, capsys, field
 
 
 @pytest.mark.parametrize("flag,value", [
-    ("--n", "0"), ("--top-k", "0"), ("--top-p", "1.5"), ("--temperature", "-1")])
+    ("--n", "0"), ("--top-k", "0"), ("--top-p", "1.5"), ("--temperature", "-1"),
+    ("--temperature", "nan"), ("--temperature", "inf")])
 def test_bad_generate_flags_exit_one_before_loading(workdir, tmp_path, capsys, flag, value):
     code = cli.main(["generate", "--checkpoint", str(tmp_path / "missing.bin"),
                      "--tokenizer", str(workdir["tok"]), "--vocab", str(workdir["vocab"]),
@@ -411,6 +411,14 @@ def test_usage_errors_exit_one(capsys):
     assert cli.main(["train-tokenizer"]) == 1  # missing required flags
     assert cli.main(["train", "--config", "toy"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command,value", [("train-tokenizer", "-3"), ("build-df", "-2")])
+def test_negative_sample_exits_one_before_reading(tmp_path, capsys, command, value):
+    code = cli.main([command, "--input", str(tmp_path / "nope.jsonl"), "--sample", value,
+                     "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"configuration error: --sample: {value} must be >= 0")
 
 
 def test_missing_input_exits_two(tmp_path, capsys):
@@ -472,5 +480,6 @@ def test_toy_pipeline_script_smoke(tmp_path):
                            "--steps", "20", "--workdir", str(tmp_path)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert (tmp_path / "checkpoints" / "final.bin").exists()
+    assert load_checkpoint(tmp_path / "checkpoints" / "final.bin").step == 20
+    assert load_checkpoint(tmp_path / "checkpoints-resumed" / "final.bin").step == 30
     assert json.loads((tmp_path / "report.json").read_text())["documents"] == 8

@@ -37,6 +37,10 @@ def test_config_validation_names_fields(tiny_cfg):
                       cond_vocab=2)
     with pytest.raises(ConfigError, match="token_vocab"):
         bad.validate()
+    bad = ModelConfig(token_vocab=5.0, pos_vocab=2, dep_vocab=2, ent_vocab=2,
+                      cond_vocab=2)
+    with pytest.raises(ConfigError, match="token_vocab: 5.0 must be a positive integer"):
+        bad.validate()
 
 
 # --- positional encoding ---------------------------------------------------------
@@ -104,8 +108,8 @@ def test_multi_head_shapes_and_zero_projection(tiny_cfg, tiny_params):
     x = ad.constant(np.random.default_rng(2).normal(size=(2, 5, cfg.d_model)))
     out = multi_head(params, "dec0.self", x, x, causal_mask(5))
     assert out.data.shape == (2, 5, cfg.d_model)
-    zero_w = ad.constant(np.zeros_like(params["dec0.self.out"].data))
-    zeroed = md.ModelParameters(cfg, {**params.tensors, "dec0.self.out": zero_w})
+    zeroed = md.ModelParameters(cfg, params.data.copy())
+    zeroed["dec0.self.out"].data[...] = 0
     np.testing.assert_array_equal(multi_head(zeroed, "dec0.self", x, x).data, 0.0)
 
 
@@ -457,7 +461,7 @@ def test_cross_attention_keys_values_projected_once_per_encoding():
     run([3, 4, 5, 6, 7, 8], [2])
     assert len(encodings) == 2 and [k.shape[-2] for k, _ in cache.cross] == [2, 2]
     # other parameters, even with equal values, encode again
-    run([3, 4, 5, 6, 7, 8], [2], p=md.ModelParameters(params.config, dict(params.items())))
+    run([3, 4, 5, 6, 7, 8], [2], p=md.ModelParameters(params.config, params.data.copy()))
     assert len(encodings) == 3
 
 

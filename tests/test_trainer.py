@@ -22,9 +22,16 @@ def small_cfg():
 
 
 def scalar_params(w, cfg=None):
-    cfg = cfg or small_cfg()
-    t = ad.parameter(np.array([float(w)]))
-    return ModelParameters(cfg, {"w": t}), t
+    params = ModelParameters(cfg or small_cfg(), np.array([float(w)]), {"w": (1,)})
+    return params, params["w"]
+
+
+def owner(arr: np.ndarray):
+    """The object that owns an array's memory."""
+    base = arr
+    while isinstance(base, np.ndarray):
+        base = base.base
+    return base.obj if isinstance(base, memoryview) else base
 
 
 # --- learning-rate schedule -----------------------------------------------------
@@ -113,7 +120,7 @@ def test_lamb_trust_ratio_scale_invariant_direction():
     g = rng.normal(size=(4, 3))
     deltas = []
     for c in (1.0, 10.0):
-        params = ModelParameters(small_cfg(), {"w": ad.parameter(c * w.copy())})
+        params = ModelParameters(small_cfg(), (c * w).ravel(), {"w": w.shape})
         params["w"].grad = c * g.copy()
         tr.lamb_step(params, tr.OptimizerState(), cfg)
         deltas.append((params["w"].data - c * w) / c)
@@ -166,10 +173,10 @@ def test_arena_lamb_matches_per_tensor_oracle(monkeypatch, group, several):
             assert np.max(np.abs(state.m[name] - m[name])) <= 1e-12, name
             assert np.max(np.abs(state.v[name] - v[name])) <= 1e-12, name
     assert state.step == 5
-    flat = state.flat
-    assert (len(flat.groups) > 1) == several
-    assert [span for *_, blocks in flat.groups for span in blocks] == params.arena().spans
-    assert all(np.shares_memory(state.m[n], flat.m) and np.shares_memory(state.v[n], flat.v)
+    assert (len(state.groups) > 1) == several
+    assert [span for *_, blocks in state.groups for span in blocks] == params.spans
+    m, v = state.flat
+    assert all(np.shares_memory(state.m[n], m) and np.shares_memory(state.v[n], v)
                for n in params.tensors)
 
 
@@ -178,27 +185,29 @@ def test_zero_grad_binds_every_tensor_to_one_arena():
     before = {name: t.data.copy() for name, t in params.items()}
     for _, t in params.items():
         t.grad = np.ones_like(t.data)
+    assert params.grad is None  # no gradient buffer before training
     params.zero_grad()
-    arena = params.arena()
-    assert arena.data.size == arena.grad.size == sum(a.size for a in before.values())
-    assert arena.data.dtype == arena.grad.dtype == np.float32
+    grad = params.grad
+    assert params.data.size == grad.size == sum(a.size for a in before.values())
+    assert params.data.dtype == grad.dtype == np.float32
     for name, t in params.items():
-        assert np.shares_memory(t.data, arena.data) and np.shares_memory(t.grad, arena.grad)
+        assert np.shares_memory(t.data, params.data) and np.shares_memory(t.grad, grad)
         np.testing.assert_array_equal(t.data, before[name])
         assert t.grad.shape == t.data.shape and not t.grad.any()
-    # a second zero_grad reuses the same buffers
+    # a second zero_grad reuses the same buffer
     params.zero_grad()
-    assert params.arena() is arena
+    assert params.grad is grad
 
 
-def test_arena_follows_a_rebound_tensor():
+def test_zero_grad_refuses_a_rebound_tensor():
     params, t = scalar_params(0.5)
     params.zero_grad()
-    first = params.arena()
-    t.data = np.array([2.0])
-    params.zero_grad()
-    assert params.arena() is not first and np.shares_memory(t.data, params.arena().data)
-    assert t.data[0] == 2.0
+    t.data = np.array([2.0])  # training would update the arena, not this array
+    with pytest.raises(ValueError, match="parameter w no longer holds its view of the arena"):
+        params.zero_grad()
+    with pytest.raises(ValueError, match="parameter w no longer holds its view of the arena"):
+        tr.lamb_step(params, tr.OptimizerState(), TrainConfig())
+    assert params.data[0] == 0.5
 
 
 # --- checkpoints -------------------------------------------------------------------
@@ -273,36 +282,79 @@ def _manifest(raw: bytes) -> tuple[dict, int]:
 
 @pytest.mark.parametrize("precision", ["narrow", "wide"])
 def test_checkpoint_is_aligned_and_loads_as_views(tmp_path, precision):
-    # widths of 6 and 10 elements: unpadded tensors would start off the alignment
+    # widths of 6 and 10 elements: the packed tensors start at offsets that
+    # are no multiples of 64 bytes
     cfg = ModelConfig(d_model=6, heads=3, encoder_blocks=1, decoder_blocks=1, ff_size=10,
                       token_vocab=7, pos_vocab=3, dep_vocab=4, ent_vocab=5, cond_vocab=3)
     params = init_parameters(cfg, np.random.default_rng(0), dtype=ad.DTYPES[precision])
-    opt = tr.OptimizerState(step=1, m={n: t.data + 1 for n, t in params.items()},
-                            v={n: t.data + 2 for n, t in params.items()})
+    opt = tr.OptimizerState(step=1, flat=(params.data + 1, params.data + 2))
     path = tmp_path / "c.bin"
     tr.save_checkpoint(path, params, opt, np.random.default_rng(0),
                        TrainConfig(precision=precision))
     raw = path.read_bytes()
     manifest, end = _manifest(raw)
+    assert manifest["dtype"] == params.dtype.str and manifest["moments"] is True
     payload = -(-end // tr.CHECKPOINT_ALIGN) * tr.CHECKPOINT_ALIGN
     assert raw[end:payload] == bytes(payload - end)
-    assert all(e["offset"] % tr.CHECKPOINT_ALIGN == 0 for e in manifest["tensors"])
-    last = manifest["tensors"][-1]
-    assert len(raw) == payload + last["offset"] + last["nbytes"]  # no trailing padding
+    n = params.data.nbytes
+    assert len(raw) == payload + 3 * n  # the three blocks, no trailing padding
+    assert raw[payload:] == b"".join(a.tobytes() for a in (params.data, *opt.flat))
 
     ck = tr.load_checkpoint(path)
-    arrays = [t.data for _, t in ck.params.items()] + list(ck.opt.m.values()) + list(ck.opt.v.values())
-    buffers = set()
+    arrays = [ck.params.data, *ck.opt.flat] + [t.data for _, t in ck.params.items()] \
+        + list(ck.opt.m.values()) + list(ck.opt.v.values())
+    assert len(arrays) == 3 + 3 * len(params.tensors)
     for arr in arrays:
         assert arr.flags.writeable and arr.flags.aligned
-        base = arr
-        while isinstance(base, np.ndarray):
-            base = base.base
-        buffers.add(id(base.obj if isinstance(base, memoryview) else base))
-    assert len(buffers) == 1  # one read buffer, no copies
+    assert len({id(owner(arr)) for arr in arrays}) == 1  # one read buffer, no copies
     for name, tensor in params.items():
         np.testing.assert_array_equal(ck.params[name].data, tensor.data)
-        np.testing.assert_array_equal(ck.opt.v[name], opt.v[name])
+        np.testing.assert_array_equal(ck.opt.m[name], tensor.data + 1)
+        np.testing.assert_array_equal(ck.opt.v[name], tensor.data + 2)
+
+
+def test_checkpoint_without_moments_resumes_from_zero_moments(tmp_path):
+    params, _, rng, tcfg = trained_little_model()
+    path = tmp_path / "c.bin"
+    tr.save_checkpoint(path, params, tr.OptimizerState(step=3), rng, tcfg)
+    raw = path.read_bytes()
+    manifest, end = _manifest(raw)
+    assert manifest["moments"] is False
+    assert len(raw) == -(-end // tr.CHECKPOINT_ALIGN) * tr.CHECKPOINT_ALIGN + params.data.nbytes
+    ck = tr.load_checkpoint(path)
+    assert ck.opt.flat is None and ck.opt.m == {} and ck.step == 3
+    np.testing.assert_array_equal(ck.params.data, params.data)
+
+
+def test_resumed_lamb_step_updates_the_read_buffer(tmp_path):
+    params, opt, rng, tcfg = trained_little_model()
+    path = tmp_path / "c.bin"
+    tr.save_checkpoint(path, params, opt, rng, tcfg)
+    ck = tr.load_checkpoint(path)
+    blocks = (ck.params.data, *ck.opt.flat)
+    read = owner(ck.params.data)
+    grads = {name: rng.normal(size=t.data.shape).astype(np.float32) for name, t in params.items()}
+    for state, model in ((opt, params), (ck.opt, ck.params)):
+        model.zero_grad()
+        for name, t in model.items():
+            t.grad += grads[name]
+        tr.lamb_step(model, state, tcfg)
+    # the same buffers, updated in place inside the read buffer ...
+    assert all(a is b for a, b in zip((ck.params.data, *ck.opt.flat), blocks))
+    assert all(owner(b) is read for b in blocks)
+    assert all(owner(t.data) is read for _, t in ck.params.items())
+    assert all(owner(a) is read for a in (*ck.opt.m.values(), *ck.opt.v.values()))
+    # ... to the bytes of the uninterrupted state
+    for mine, theirs in zip((params.data, *opt.flat), blocks):
+        assert mine.tobytes() == theirs.tobytes()
+    assert ck.opt.step == opt.step == 4
+
+
+def test_save_refuses_parameters_that_are_not_the_model_inventory(tmp_path):
+    params, t = scalar_params(0.5)
+    with pytest.raises(ValueError, match="parameter_shapes"):
+        tr.save_checkpoint(tmp_path / "c.bin", params, None, np.random.default_rng(0), TrainConfig())
+    assert not (tmp_path / "c.bin").exists()
 
 
 def test_damaged_checkpoints_name_the_file(tmp_path):
@@ -311,48 +363,54 @@ def test_damaged_checkpoints_name_the_file(tmp_path):
     tr.save_checkpoint(path, params, opt, rng, tcfg)
     raw = path.read_bytes()
     manifest, end = _manifest(raw)
+    payload, n = -(-end // tr.CHECKPOINT_ALIGN) * tr.CHECKPOINT_ALIGN, params.data.nbytes
 
     def damaged(name, data):
         out = tmp_path / name
         out.write_bytes(data)
         return out
 
-    v1 = damaged("v1.bin", raw[:4] + struct.pack("<I", 1) + raw[8:])
-    with pytest.raises(DataError, match=r"v1\.bin was written by format 1.*re-save or re-train"):
-        tr.load_checkpoint(v1)
+    for version in (1, 2):
+        old = damaged(f"v{version}.bin", raw[:4] + struct.pack("<I", version) + raw[8:])
+        with pytest.raises(DataError, match=rf"v{version}\.bin was written by format {version}"
+                                            r".*re-train it"):
+            tr.load_checkpoint(old)
     garbled = damaged("garbled.bin", raw[:16] + b"!" + raw[17:])
     with pytest.raises(DataError, match=r"garbled\.bin manifest is not valid JSON"):
         tr.load_checkpoint(garbled)
     short_manifest = damaged("short-manifest.bin", raw[:end - 5])
     with pytest.raises(DataError, match=r"short-manifest\.bin is truncated inside its manifest"):
         tr.load_checkpoint(short_manifest)
-    last = manifest["tensors"][-1]["name"]
-    short = damaged("short.bin", raw[:-100])
-    with pytest.raises(DataError, match=rf"short\.bin is truncated: tensor {last} runs past"):
-        tr.load_checkpoint(short)
+    for i, block in enumerate(("parameter", "m", "v")):
+        short = damaged(f"short-{block}.bin", raw[:payload + i * n + n // 2])
+        with pytest.raises(DataError, match=rf"short-{block}\.bin is truncated inside its {block} block"):
+            tr.load_checkpoint(short)
+    long = damaged("long.bin", raw + bytes(3))
+    with pytest.raises(DataError, match=r"long\.bin has 3 trailing bytes"):
+        tr.load_checkpoint(long)
 
-    def retabled(name, tensors):
-        # the manifest with another tensor table, padded to its old length
-        # so that the payload stays where it was
-        blob = json.dumps(dict(manifest, tensors=tensors), sort_keys=True,
-                          separators=(",", ":")).encode()
-        return damaged(name, raw[:16] + blob.ljust(end - 16) + raw[end:])
+    def rewritten(name, **changes):
+        # the manifest with some keys changed, then the payload, realigned
+        blob = json.dumps(dict(manifest, **changes), sort_keys=True, separators=(",", ":")).encode()
+        header = raw[:4] + struct.pack("<IQ", tr.CHECKPOINT_VERSION, len(blob)) + blob
+        return damaged(name, header.ljust(-(-len(header) // tr.CHECKPOINT_ALIGN)
+                                          * tr.CHECKPOINT_ALIGN, b"\0") + raw[payload:])
 
-    lone = retabled("lone-moment.bin", [e for e in manifest["tensors"] if e["name"] != "v:tok_emb"])
-    with pytest.raises(DataError, match=r"lone-moment\.bin holds one moment of tensor tok_emb without"):
-        tr.load_checkpoint(lone)
-    # the same bytes under the transposed shape: a resume would read scrambled moments
-    transposed = retabled("transposed.bin", [dict(e, shape=e["shape"][::-1]) if e["name"] == "m:tok_emb"
-                                             else e for e in manifest["tensors"]])
-    with pytest.raises(DataError, match=r"transposed\.bin has a moment of tensor tok_emb whose shape"):
-        tr.load_checkpoint(transposed)
-    assert tr.load_checkpoint(retabled("intact.bin", manifest["tensors"])).step == opt.step
-    manifest["tensors"][0]["nbytes"] += 4
-    blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
-    resized = damaged("resized.bin", raw[:4] + struct.pack("<IQ", tr.CHECKPOINT_VERSION, len(blob))
-                      + blob + raw[end:])
-    with pytest.raises(DataError, match=r"resized\.bin tensor p:tok_emb holds"):
-        tr.load_checkpoint(resized)
+    with pytest.raises(DataError, match=r"big-endian\.bin holds dtype '>f4', not <f4 or <f8"):
+        tr.load_checkpoint(rewritten("big-endian.bin", dtype=">f4"))
+    with pytest.raises(DataError, match=r"moments\.bin manifest is malformed"):
+        tr.load_checkpoint(rewritten("moments.bin", moments=1))
+    # without moments the two moment blocks are trailing bytes
+    with pytest.raises(DataError, match=rf"no-moments\.bin has {2 * n} trailing bytes"):
+        tr.load_checkpoint(rewritten("no-moments.bin", moments=False))
+    # model configs that fail validation, each under its own hash
+    for field, value in (("token_vocab", -1), ("d_model", 16.0)):
+        bad_cfg = dict(manifest["model_config"], **{field: value})
+        bad = rewritten(f"bad-{field}.bin", model_config=bad_cfg,
+                        config_hash=config_hash(ModelConfig(**bad_cfg)))
+        with pytest.raises(DataError, match=rf"bad-{field}\.bin manifest is malformed.*{field}"):
+            tr.load_checkpoint(bad)
+    assert tr.load_checkpoint(rewritten("intact.bin")).step == opt.step
     del manifest["rng_state"]
     blob = json.dumps(manifest).encode()
     malformed = damaged("malformed.bin", raw[:4] + struct.pack("<IQ", tr.CHECKPOINT_VERSION, len(blob))
