@@ -2,10 +2,12 @@
 """Run the whole pipeline on the built-in eight-document toy corpus.
 
 Writes every artifact the CLI knows how to produce into a work directory,
-resumes training from the final checkpoint for ten more steps, then prints
-the evaluation report. With the default 2000 steps the model
-memorizes the corpus and greedy decoding reproduces the abstracts; pass a
-smaller --steps for a quick smoke run.
+resumes training from the final checkpoint for ten more steps, generates
+twice onto the same file, then prints the evaluation report. It exits
+non-zero if a step fails or a temp file (*.tmp) is left in the work
+directory. With the default 2000 steps the model memorizes the corpus and
+greedy decoding reproduces the abstracts; pass a smaller --steps for a
+quick smoke run.
 
     python3 scripts/toy_pipeline.py --workdir toy_run
 """
@@ -66,11 +68,13 @@ def main_script():
          "--tokenizer", str(tok), "--vocab", str(vocab),
          "--checkpoint-dir", str(resumed), "--resume", str(ckpts / "final.bin"),
          "--steps", str(args.steps + 10)])
-    run(["generate", "--checkpoint", str(ckpts / "final.bin"),
-         "--tokenizer", str(tok), "--vocab", str(vocab),
-         "--prompts-file", str(corpus), "--n", "48",
-         "--temperature", str(args.temperature), "--seed", str(args.seed),
-         "--out", str(gen)])
+    # twice, so the second run replaces a generations file that exists
+    for _ in range(2):
+        run(["generate", "--checkpoint", str(ckpts / "final.bin"),
+             "--tokenizer", str(tok), "--vocab", str(vocab),
+             "--prompts-file", str(corpus), "--n", "48",
+             "--temperature", str(args.temperature), "--seed", str(args.seed),
+             "--out", str(gen)])
     run(["evaluate", "--generations", str(gen), "--references", str(corpus),
          "--df", str(df), "--out", str(report)])
 
@@ -79,6 +83,10 @@ def main_script():
         row = json.loads(line)
         print(f"{row['id']}: {row['generated']}")
     print(f"\nartifacts in {work}/ (full report: {report})")
+    # every artifact is renamed into place; a temp file left behind is a fault
+    leftovers = sorted(str(p) for p in work.rglob("*.tmp"))
+    if leftovers:
+        sys.exit(f"temp files left behind: {', '.join(leftovers)}")
 
 
 if __name__ == "__main__":

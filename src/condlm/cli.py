@@ -26,6 +26,7 @@ from .generator import GenerationRequest, generate
 from .model import init_parameters
 from .textio import read_lines
 from .tokenizer import load_tokenizer, save_tokenizer, train_unigram
+from .toydata import write_jsonl
 from .trainer import OptimizerState, load_checkpoint, save_checkpoint, train
 from .vocab import (build_condition_vocab, build_label_vocabs,
                     load_condition_vocab, load_label_vocabs,
@@ -39,16 +40,8 @@ EXIT_DATA = 2
 EXIT_NUMERICAL = 3
 
 
-class Parser(argparse.ArgumentParser):
-    """argparse with usage failures mapped onto exit code 1."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
-
-def _build_parser() -> Parser:
-    parser = Parser(prog="condlm", description=__doc__)
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="condlm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train-tokenizer", help="fit the subword inventory")
@@ -262,8 +255,12 @@ def _cmd_generate(args) -> int:
     prompts = list(_prompt_rows(args))
     ckpt = load_checkpoint(args.checkpoint)
     tok, cvocab, labels = _load_artifacts(args.tokenizer, args.vocab)
-    if ckpt.model_config.token_vocab != tok.vocab_size or ckpt.model_config.cond_vocab != cvocab.total:
-        raise DataError("checkpoint vocabulary sizes do not match the supplied artifacts")
+    cond_path = os.path.join(args.vocab, "conditions.tsv")
+    for path, trained, given in ((args.tokenizer, ckpt.model_config.token_vocab, tok.vocab_size),
+                                 (cond_path, ckpt.model_config.cond_vocab, cvocab.total)):
+        if trained != given:
+            raise DataError(f"checkpoint {args.checkpoint} and {path} do not match: the "
+                            f"checkpoint has {trained} ids for it, the file holds {given}")
 
     def run(item):
         i, (rid, title, year, keywords) = item
@@ -290,13 +287,10 @@ def _cmd_generate(args) -> int:
     else:
         rows = [run(item) for item in items]
 
-    sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
-        for row in rows:
-            sink.write(json.dumps(row) + "\n")
-    finally:
-        if args.out:
-            sink.close()
+    if args.out:
+        write_jsonl(rows, args.out)
+    else:
+        sys.stdout.writelines(json.dumps(row) + "\n" for row in rows)
     return EXIT_OK
 
 
@@ -339,8 +333,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except SystemExit as e:
-        return int(e.code or 0)
+    except SystemExit as e:  # argparse has printed the usage and what is wrong
+        return EXIT_USAGE if e.code else EXIT_OK
     except ConfigError as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return EXIT_USAGE

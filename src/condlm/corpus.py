@@ -11,11 +11,10 @@ annotation labels of the word they came from.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -115,27 +114,6 @@ class RecordStream:
 
 def load_records(path, strict: bool = False) -> RecordStream:
     return RecordStream(path, strict)
-
-
-def _split_key(seed: int, record_id: str) -> float:
-    """Deterministic uniform draw in [0, 1) from the record id alone."""
-    digest = hashlib.sha256(f"{seed}:{record_id}".encode()).digest()
-    return int.from_bytes(digest[:8], "big") / 2.0**64
-
-
-def filter_and_split(records: Iterable[AnnotatedRecord], train_fraction: float,
-                     seed: int) -> tuple[list[AnnotatedRecord], list[AnnotatedRecord]]:
-    """Drop records with no abstract sentences, then partition by a seeded
-    hash of the id. Membership depends only on (seed, id), never on file
-    order, so the split is stable under corpus reshuffling."""
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    train, test = [], []
-    for rec in records:
-        if not rec.sentences:
-            continue
-        (train if _split_key(seed, rec.id) < train_fraction else test).append(rec)
-    return train, test
 
 
 @dataclass

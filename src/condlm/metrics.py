@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DataError
-from .textio import read_lines
+from .textio import read_lines, write_atomic
 
 MAX_ORDER = 4
 METEOR_ALPHA = 0.9
@@ -394,11 +394,12 @@ def build_df(token_docs: Iterable[Sequence[str]], max_order: int = MAX_ORDER) ->
 
 
 def save_df(corpus: DfCorpus, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"#documents\t{corpus.doc_count}\n")
+    def lines():  # a generator, so a large table is not formatted all at once
+        yield f"#documents\t{corpus.doc_count}\n"
         for n in sorted(corpus.df):
             for gram, c in sorted(corpus.df[n].items()):
-                f.write(f"{' '.join(gram)}\t{c}\n")
+                yield f"{' '.join(gram)}\t{c}\n"
+    write_atomic(path, lines())
 
 
 def load_df(path) -> DfCorpus:
@@ -656,6 +657,4 @@ def evaluate(generations: Iterable[Mapping], references: Mapping[str, list[str]]
 
 
 def save_report(report: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(report, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_atomic(path, [json.dumps(report, indent=2, sort_keys=True), "\n"])

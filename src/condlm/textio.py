@@ -1,4 +1,4 @@
-"""Line-by-line reading of the text artifacts (JSONL and TSV files).
+"""Line-by-line reading of the text artifacts, and atomic writing of every artifact.
 
 Lines end at "\n" only, and a "\r" just before it is dropped with it.
 ``str.splitlines`` would also break at U+2028, U+2029, U+0085 and a few
@@ -8,7 +8,15 @@ UTF-8 is reported at its line.
 
 from __future__ import annotations
 
+import contextlib
+import os
+
 from .errors import DataError
+
+# Bytes-like parts are written this many bytes at a time. On a 2-vCPU Linux
+# VM, one write call per 26 MB block made the first saves of a run about
+# three times slower than slices do (90 against 30 ms for a 78 MB checkpoint).
+WRITE_SLICE = 1 << 20
 
 
 def read_lines(path, what: str) -> list[tuple[int, str]]:
@@ -30,3 +38,37 @@ def read_lines(path, what: str) -> list[tuple[int, str]]:
     if lines[-1] == "":  # the newline that ends the last line
         lines.pop()
     return list(enumerate(lines, start=1))
+
+
+def _write_parts(f, parts) -> None:
+    for part in parts:
+        if isinstance(part, str):
+            f.write(part.encode("utf-8"))
+            continue
+        data = memoryview(part).cast("B")
+        for a in range(0, len(data), WRITE_SLICE):
+            f.write(data[a:a + WRITE_SLICE])
+
+
+def write_atomic(path, parts) -> None:
+    """Write ``parts`` (``str`` as UTF-8, or bytes-like such as numpy arrays)
+    to ``.<name>.<pid>.tmp`` beside ``path``, fsync it and rename it over
+    ``path``; on any failure remove it, leaving the old file. The hidden name
+    keeps a leftover out of ``ckpt-*`` listings. A symlink is followed; a FIFO
+    or a device such as /dev/stdout cannot be replaced and is written to."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "wb") as f:
+            _write_parts(f, parts)
+        return
+    target = os.path.realpath(path)
+    tmp = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            _write_parts(f, parts)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise

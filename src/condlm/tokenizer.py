@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .textio import read_lines
+from .textio import read_lines, write_atomic
 
 MARKER = "▁"  # word-boundary marker, one per word start
 MAX_PIECE_LEN = 6  # seed pieces are substrings up to this length
@@ -309,12 +309,9 @@ def train_unigram(sentences, target_vocab: int, seed: int = 0,
 # Model file: version line, special assignments, then piece\tlog_prob rows.
 
 def save_tokenizer(model: TokenizerModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"#version\t{FORMAT_VERSION}\n")
-        for name, sid in zip(SPECIAL_NAMES, range(NUM_SPECIALS)):
-            f.write(f"#special\t{name}\t{sid}\n")
-        for piece in model.piece_of:
-            f.write(f"{piece}\t{model.pieces[piece]!r}\n")
+    write_atomic(path, [f"#version\t{FORMAT_VERSION}\n",
+                        *(f"#special\t{name}\t{sid}\n" for sid, name in enumerate(SPECIAL_NAMES)),
+                        *(f"{piece}\t{model.pieces[piece]!r}\n" for piece in model.piece_of)])
 
 
 def load_tokenizer(path) -> TokenizerModel:

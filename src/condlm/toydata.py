@@ -16,6 +16,8 @@ import json
 
 import numpy as np
 
+from .textio import write_atomic
+
 _POS = {"the": "DET", "a": "DET", "in": "ADP", "with": "ADP", "under": "ADP",
         "and": "CCONJ", ".": "PUNCT"}
 _VERBS = {"shows", "rises", "heals", "drops", "slows", "binds", "bind",
@@ -124,6 +126,4 @@ def random_documents(count: int, seed: int = 0, min_sentences: int = 1,
 
 
 def write_jsonl(docs: list[dict], path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for doc in docs:
-            f.write(json.dumps(doc) + "\n")
+    write_atomic(path, (json.dumps(doc) + "\n" for doc in docs))

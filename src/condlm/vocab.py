@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import DataError
-from .textio import read_lines
+from .textio import read_lines, write_atomic
 
 NO_LABEL = "<none>"
 
@@ -79,11 +79,9 @@ def build_condition_vocab(records, min_count: int, max_year: int | None = None) 
 
 
 def save_condition_vocab(vocab: ConditionVocab, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for i in range(vocab.year_count):
-            f.write(f"year\t{vocab.year_base + i}\t{i}\n")
-        for kw, kid in sorted(vocab.keyword_ids.items(), key=lambda kv: kv[1]):
-            f.write(f"keyword\t{kw}\t{kid}\n")
+    write_atomic(path, [*(f"year\t{vocab.year_base + i}\t{i}\n" for i in range(vocab.year_count)),
+                        *(f"keyword\t{kw}\t{kid}\n" for kw, kid
+                          in sorted(vocab.keyword_ids.items(), key=lambda kv: kv[1]))])
 
 
 def _rows(path, what: str, kinds: tuple[str, ...]):
@@ -188,10 +186,9 @@ def build_label_vocabs(records) -> LabelVocabs:
 
 
 def save_label_vocabs(vocabs: LabelVocabs, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for lv in (vocabs.pos, vocabs.dep, vocabs.ent):
-            for label, lid in sorted(lv.ids.items(), key=lambda kv: kv[1]):
-                f.write(f"{lv.kind}\t{label}\t{lid}\n")
+    write_atomic(path, (f"{lv.kind}\t{label}\t{lid}\n"
+                        for lv in (vocabs.pos, vocabs.dep, vocabs.ent)
+                        for label, lid in sorted(lv.ids.items(), key=lambda kv: kv[1])))
 
 
 def load_label_vocabs(path) -> LabelVocabs:

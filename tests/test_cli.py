@@ -11,7 +11,9 @@ import pytest
 
 from condlm import cli, toydata
 from condlm.metrics import REPORT_SCHEMA
+from condlm.tokenizer import load_tokenizer
 from condlm.trainer import load_checkpoint
+from condlm.vocab import load_condition_vocab
 
 from conftest import write_jsonl
 
@@ -198,6 +200,27 @@ def test_checkpoint_artifact_mismatch_rejected(workdir, tmp_path, capsys):
                      "--title", "the probe", "--year", "1996"])
     assert code == 2
     assert "do not match" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damaged", ["tokenizer.tsv", "vocab/conditions.tsv"])
+def test_vocabulary_mismatch_names_the_file_and_both_sizes(workdir, tmp_path, capsys, damaged):
+    # Each file loses its last line and stays valid: a piece of the tokenizer,
+    # or the last keyword of the condition vocabulary.
+    shutil.copy(workdir["tok"], tmp_path / "tokenizer.tsv")
+    shutil.copytree(workdir["vocab"], tmp_path / "vocab")
+    path = tmp_path / damaged
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert not lines[-1].startswith(("#", "year"))
+    path.write_text("".join(lines[:-1]), encoding="utf-8")
+    trained = (load_tokenizer(workdir["tok"]).vocab_size if damaged == "tokenizer.tsv"
+               else load_condition_vocab(workdir["vocab"] / "conditions.tsv").total)
+    code = cli.main(["generate", "--checkpoint", str(workdir["final"]),
+                     "--tokenizer", str(tmp_path / "tokenizer.tsv"),
+                     "--vocab", str(tmp_path / "vocab"), "--title", "the probe", "--year", "1996"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"data error: checkpoint {workdir['final']} and {path} do not match: the checkpoint "
+        f"has {trained} ids for it, the file holds {trained - 1}\n")
 
 
 @pytest.mark.parametrize("damage,message", [
@@ -411,6 +434,14 @@ def test_usage_errors_exit_one(capsys):
     assert cli.main(["train-tokenizer"]) == 1  # missing required flags
     assert cli.main(["train", "--config", "toy"]) == 1
     capsys.readouterr()
+    # the usage is followed by argparse's own line naming the flag
+    assert cli.main(["build-df", "--input", "x", "--out", "y", "--sample", "x"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: condlm build-df")
+    assert "condlm build-df: error: argument --sample: invalid int value: 'x'" in err
+    assert cli.main(["build-df", "--input", "x"]) == 1
+    assert "condlm build-df: error: the following arguments are required: --out" \
+        in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command,value", [("train-tokenizer", "-3"), ("build-df", "-2")])

@@ -1,14 +1,10 @@
-import hashlib
 import json
 import logging
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from condlm import corpus as cp
-from condlm import toydata
 from condlm.errors import DataError
 from condlm.tokenizer import END_ID, START_ID, TokenizerModel
 from condlm.vocab import build_condition_vocab, build_label_vocabs
@@ -84,71 +80,6 @@ def test_load_empty_file_yields_nothing(tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_text("")
     assert list(cp.load_records(path)) == []
-
-
-# --- split ----------------------------------------------------------------------
-
-def synth_records(count, seed=42):
-    docs = toydata.random_documents(count, seed=seed)
-    return [cp._parse_record(d) for d in docs]
-
-
-def test_split_frozen_counts():
-    # 1000 synthetic records, fraction 0.7, seed 13: the hash split puts
-    # exactly 705 in train. Independently recomputed below.
-    records = synth_records(1000)
-    train, test = cp.filter_and_split(records, 0.7, seed=13)
-    assert (len(train), len(test)) == (705, 295)
-    expect_train = {
-        r.id for r in records
-        if int.from_bytes(hashlib.sha256(f"13:{r.id}".encode()).digest()[:8], "big")
-        < 0.7 * 2**64}
-    assert {r.id for r in train} == expect_train
-
-
-def test_split_is_disjoint_and_complete():
-    records = synth_records(300)
-    train, test = cp.filter_and_split(records, 0.5, seed=0)
-    ids = {r.id for r in records}
-    assert {r.id for r in train} | {r.id for r in test} == ids
-    assert not ({r.id for r in train} & {r.id for r in test})
-
-
-def test_split_ignores_input_order():
-    records = synth_records(200)
-    train_a, _ = cp.filter_and_split(records, 0.6, seed=9)
-    train_b, _ = cp.filter_and_split(list(reversed(records)), 0.6, seed=9)
-    assert {r.id for r in train_a} == {r.id for r in train_b}
-
-
-def test_split_drops_empty_abstracts():
-    records = synth_records(20)
-    empty = cp.AnnotatedRecord("empty", 2000, (), records[0].title, ())
-    train, test = cp.filter_and_split(records + [empty], 0.5, seed=1)
-    assert all(r.id != "empty" for r in train + test)
-
-
-def test_split_seed_changes_membership():
-    records = synth_records(400)
-    a, _ = cp.filter_and_split(records, 0.5, seed=0)
-    b, _ = cp.filter_and_split(records, 0.5, seed=1)
-    assert {r.id for r in a} != {r.id for r in b}
-
-
-def test_split_fraction_validation():
-    records = synth_records(5)
-    for bad in (0.0, 1.0, -0.1, 1.5):
-        with pytest.raises(ValueError):
-            cp.filter_and_split(records, bad, seed=0)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.floats(min_value=0.05, max_value=0.95), st.integers(min_value=0, max_value=10**6))
-def test_split_membership_is_pure_function_of_seed_and_id(frac, seed):
-    records = synth_records(50)
-    train1, _ = cp.filter_and_split(records, frac, seed)
-    train2, _ = cp.filter_and_split(records[::-1], frac, seed)
-    assert {r.id for r in train1} == {r.id for r in train2}
 
 
 # --- subword stream and windows ---------------------------------------------------

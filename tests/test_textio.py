@@ -1,0 +1,61 @@
+import os
+import stat
+import threading
+
+import numpy as np
+import pytest
+
+from condlm.textio import WRITE_SLICE, write_atomic
+
+
+def leftovers(directory):
+    return [n for n in os.listdir(directory) if n.endswith(".tmp")]
+
+
+def test_write_atomic_joins_str_and_bytes_like_parts(tmp_path):
+    path = tmp_path / "out.bin"
+    path.write_bytes(b"old contents")
+    block = np.arange(WRITE_SLICE // 4 + 3, dtype="<f4")  # more than one slice
+    write_atomic(path, ["héader\n", b"\0\1", block])
+    assert path.read_bytes() == "héader\n".encode() + b"\0\1" + block.tobytes()
+    assert leftovers(tmp_path) == []
+
+
+@pytest.mark.parametrize("fault", [OSError("disk full"), KeyboardInterrupt()])
+def test_failing_parts_leave_the_old_file_and_no_temp(tmp_path, fault):
+    path = tmp_path / "ckpt-0000004.bin"
+    path.write_bytes(b"the last good checkpoint")
+
+    def parts():
+        yield b"the first part of a new one"
+        raise fault
+
+    with pytest.raises(type(fault)):
+        write_atomic(path, parts())
+    assert path.read_bytes() == b"the last good checkpoint"
+    assert leftovers(tmp_path) == []
+
+
+def test_a_fifo_is_written_directly_and_stays_a_fifo(tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    write_atomic(fifo, ["row one\n", b"row two\n"])
+    reader.join(timeout=10)
+    assert got == [b"row one\nrow two\n"]
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert sorted(os.listdir(tmp_path)) == ["pipe"]
+
+
+def test_a_symlink_stays_a_link_and_its_target_is_replaced(tmp_path):
+    (tmp_path / "real").mkdir()
+    target = tmp_path / "real" / "report.json"
+    target.write_text("old\n")
+    link = tmp_path / "report.json"
+    link.symlink_to(target)
+    write_atomic(link, ["new\n"])
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_text() == "new\n"
+    assert leftovers(tmp_path) == [] and leftovers(tmp_path / "real") == []

@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -499,6 +500,39 @@ def test_resume_matches_uninterrupted_run(tmp_path, toy_records, toy_tok, toy_cv
     assert [h.step for h in hist_b] == list(range(16, 31))
     for ha, hb in zip(hist_a[15:], hist_b):
         assert ha.loss == hb.loss  # bitwise: same batches, same arithmetic
+    for name, tensor in params_a.items():
+        np.testing.assert_array_equal(tensor.data, ck.params[name].data)
+
+
+def test_failed_checkpoint_save_leaves_the_last_one_resumable(
+        tmp_path, monkeypatch, toy_records, toy_tok, toy_cvocab, toy_labels, toy_model_cfg):
+    # The second checkpoint's fsync fails, as on a full disk: training stops,
+    # the first checkpoint is still whole, and resuming from it reproduces the
+    # uninterrupted run bit for bit.
+    cfg = toy_train_cfg(12, seed=7, checkpoint_every_steps=4)
+    params_a = narrow_toy_params(toy_model_cfg, seed=7)
+    hist_a = tr.train(params_a, toy_records, toy_tok, toy_cvocab, toy_labels, cfg)
+
+    real_fsync, calls = os.fsync, []
+
+    def fsync(fd):
+        calls.append(fd)
+        if len(calls) == 2:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    with pytest.raises(OSError, match="No space left"):
+        tr.train(narrow_toy_params(toy_model_cfg, seed=7), toy_records, toy_tok,
+                 toy_cvocab, toy_labels, cfg, checkpoint_dir=tmp_path)
+    monkeypatch.undo()
+    assert sorted(os.listdir(tmp_path)) == ["ckpt-0000004.bin"]
+
+    ck = tr.load_checkpoint(tmp_path / "ckpt-0000004.bin")
+    hist_b = tr.train(ck.params, toy_records, toy_tok, toy_cvocab, toy_labels,
+                      ck.train_config, opt=ck.opt, rng=ck.rng)
+    assert [h.step for h in hist_b] == list(range(5, 13))
+    assert [h.loss for h in hist_a[4:]] == [h.loss for h in hist_b]
     for name, tensor in params_a.items():
         np.testing.assert_array_equal(tensor.data, ck.params[name].data)
 
