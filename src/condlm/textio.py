@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import stat
 
 from .errors import DataError
 
@@ -54,8 +55,10 @@ def write_atomic(path, parts) -> None:
     """Write ``parts`` (``str`` as UTF-8, or bytes-like such as numpy arrays)
     to ``.<name>.<pid>.tmp`` beside ``path``, fsync it and rename it over
     ``path``; on any failure remove it, leaving the old file. The hidden name
-    keeps a leftover out of ``ckpt-*`` listings. A symlink is followed; a FIFO
-    or a device such as /dev/stdout cannot be replaced and is written to."""
+    keeps a leftover out of ``ckpt-*`` listings, and an ``OSError`` names
+    ``path``, not the temp file. A replaced file keeps its mode. A symlink is
+    followed; a FIFO or a device such as /dev/stdout cannot be replaced and
+    is written to."""
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "wb") as f:
             _write_parts(f, parts)
@@ -63,12 +66,20 @@ def write_atomic(path, parts) -> None:
     target = os.path.realpath(path)
     tmp = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}.{os.getpid()}.tmp")
     try:
+        mode = stat.S_IMODE(os.stat(target).st_mode)
+    except OSError:
+        mode = None  # a new file gets the default mode
+    try:
         with open(tmp, "wb") as f:
+            if mode is not None:
+                os.fchmod(f.fileno(), mode)
             _write_parts(f, parts)
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, target)
-    except BaseException:
+    except BaseException as e:
         with contextlib.suppress(OSError):
             os.remove(tmp)
+        if isinstance(e, OSError) and (e.filename == tmp or (e.filename is None and e.errno)):
+            raise type(e)(e.errno, e.strerror, os.fspath(path)) from None
         raise

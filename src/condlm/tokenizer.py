@@ -1,11 +1,15 @@
 """Subword tokenizer: a unigram language model over word pieces.
 
 Text is lowercased and split on whitespace; each word gets a leading
-word-boundary marker (U+2581) and is segmented independently. A piece
-inventory with log-probabilities is fit by EM over each word's
-segmentation lattice, then pruned down to the target size. ``_lattice``
-builds that lattice once per word and pass, and ``_forward`` runs its
-forward pass for Viterbi and sampled segmentation and for the E-step alike.
+word-boundary marker (U+2581) and is segmented independently. ``_lattice``
+builds one word's segmentation lattice, and ``_forward`` runs its forward
+pass for Viterbi and sampled segmentation. A piece inventory with
+log-probabilities is fit by EM over the lattices of all the training
+words, then pruned down to the target size. The fit builds those lattices
+once, as int arrays against the seed inventory (``_Lattice``), and runs
+every pass over all words at once on one log-prob array, in which a pruned
+piece holds -inf; it gives the same floats as walking each word's
+``_lattice``.
 
 Ids 0..3 are reserved: pad, unknown, start-of-abstract, end-of-abstract.
 Unknown characters segment as single-char unknown arcs.
@@ -13,6 +17,7 @@ Unknown characters segment as single-char unknown arcs.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -70,17 +75,15 @@ def _words(text: str) -> list[str]:
     return [MARKER + w for w in text.lower().split()]
 
 
-def _lattice(word: str, pieces: dict[str, float], max_len: int | None = None):
+def _lattice(word: str, pieces: dict[str, float]):
     """``out[i]``: the arcs (end, piece, score) leaving position i of
     ``word``, in ascending end. A position where no piece starts gets one
     single-char unknown arc, so the lattice always spans the word."""
     n = len(word)
-    if max_len is None:
-        max_len = n  # no longer piece can match inside the word
     out = []
     for i in range(n):
         arcs = []
-        for j in range(i + 1, min(n, i + max_len) + 1):
+        for j in range(i + 1, n + 1):
             piece = word[i:j]
             lp = pieces.get(piece)
             if lp is not None:
@@ -211,58 +214,225 @@ def _seed_pieces(word_counts: Counter) -> dict[str, float]:
     return {s: math.log(c / total) for s, c in seed.items()}
 
 
-def _em_step(pieces: dict[str, float], word_counts: Counter) -> tuple[dict[str, float], float]:
-    """One EM step. Returns (updated log-probs, corpus log-likelihood under
-    the *input* probabilities). Expected piece counts come from lattice
-    forward-backward posteriors; the M-step renormalizes them."""
-    expected: dict[str, float] = {p: 0.0 for p in pieces}
-    loglik = 0.0
-    max_len = max(len(p) for p in pieces)
-    for word, freq in word_counts.items():
-        out = _lattice(word, pieces, max_len)
-        alpha, _ = _forward(out, 1.0, False)
-        beta = [-math.inf] * len(out) + [0.0]
-        for i in range(len(out) - 1, -1, -1):
-            for j, _, lp in out[i]:
-                beta[i] = _logaddexp(beta[i], lp + beta[j])
-        z = alpha[-1]
-        loglik += freq * z
-        for i, arcs in enumerate(out):
-            for j, piece, lp in arcs:
-                if piece is not None:
-                    expected[piece] += freq * math.exp(alpha[i] + lp + beta[j] - z)
-    total = sum(expected.values())  # the floor keeps log finite where a count underflows
-    return {p: math.log(max(c, 1e-300) / total) for p, c in expected.items()}, loglik
+class _Lattice:
+    """The segmentation lattices of a list of strings, built once, with every
+    arc scored through one array indexed by piece.
+
+    Nodes are the (string, position) pairs, string after string. An arc is
+    (src, dst, piece) over nodes; arc ids follow (string, start, end) order,
+    as ``_lattice`` lists them. A position where no arc starts gets a
+    single-char unknown arc, whose piece index is ``n_pieces``. A score array
+    holds a log-prob per piece and -inf for a dropped piece, whose arcs then
+    change no sum and win no max: the lattice never needs rebuilding, as
+    long as every position keeps a live arc. The passes take the arcs in
+    groups, one numpy call per group over all strings, and each node sees
+    its arcs in ``_forward``'s order. ``rows`` maps each string to a piece
+    index where the strings are pieces themselves (see ``parts``)."""
+
+    def __init__(self, sizes, string, start, length, piece, n_pieces: int,
+                 freqs=None, rows=None):
+        """Arcs as (string, start, length, piece) arrays in (string, start,
+        end) order; the unknown arcs are added here."""
+        sizes = np.asarray(sizes, dtype=np.intp)
+        first = np.cumsum(sizes + 1) - (sizes + 1)
+        nodes = int(sizes.sum()) + len(sizes)
+        src = first[string] + start
+        covered = np.zeros(nodes, dtype=bool)
+        covered[src] = True
+        covered[first + sizes] = True  # a string's end node starts no arc
+        gap = np.flatnonzero(~covered)
+        if gap.size:
+            src = np.concatenate((src, gap))
+            length = np.concatenate((length, np.ones_like(gap)))
+            piece = np.concatenate((piece, np.full_like(gap, n_pieces)))
+            order = np.lexsort((length, src))
+            src, length, piece = src[order], length[order], piece[order]
+        self.src, self.dst, self.piece = src, src + length, piece
+        self.n_pieces, self.n_nodes, self.rows = n_pieces, nodes, rows
+        self.first, self.last = first, first + sizes
+        self.is_first = np.zeros(nodes, dtype=bool)
+        self.is_first[first] = True
+        self.freq = np.ones(len(sizes)) if freqs is None else np.array(freqs, dtype=np.float64)
+        self.string = np.repeat(np.arange(len(sizes)), sizes + 1)[self.src]
+        start = self.src - first[self.string]
+        # A start reaches each node at most once, so forward and Viterbi take
+        # one group per start, ascending. Backward collects all the arcs of a
+        # start into one node: one group per (start, length), in descending
+        # start, then ascending length.
+        top = int(start.max(initial=0))
+        self._fwd = self._groups(start)
+        self._bwd = self._groups((top - start) * (int(length.max(initial=0)) + 1) + length)
+
+    def _groups(self, key):
+        """The arc ids in ascending ``key``, split where it changes; ids
+        with one key keep their order. Small keys sort by radix."""
+        key = key.astype(np.min_scalar_type(int(key.max(initial=0))))
+        order = np.argsort(key, kind="stable")
+        cuts = np.flatnonzero(np.diff(key[order])) + 1
+        return [(self.src[ids], self.dst[ids], self.piece[ids], ids)
+                for ids in np.split(order, cuts) if ids.size]
+
+    @classmethod
+    def of_strings(cls, strings, pieces: list[str], freqs=None) -> "_Lattice":
+        """Look every substring of ``strings`` up in ``pieces``."""
+        strings = list(strings)
+        index = {p: k for k, p in enumerate(pieces)}
+        max_len = max(map(len, pieces))
+        spans = {}  # string length -> (slices, starts, lengths) of every substring
+        for n in {len(s) for s in strings}:
+            ij = [(i, j) for i in range(n) for j in range(i + 1, min(n, i + max_len) + 1)]
+            spans[n] = ([slice(i, j) for i, j in ij], np.array([i for i, _ in ij], dtype=np.intp),
+                        np.array([j - i for i, j in ij], dtype=np.intp))
+        per = [spans[len(s)] for s in strings]
+        piece = np.fromiter(itertools.chain.from_iterable(
+            map(index.get, map(s.__getitem__, sl), itertools.repeat(-1))
+            for s, (sl, _, _) in zip(strings, per)), dtype=np.intp)
+        string = np.repeat(np.arange(len(strings)), [len(sl) for sl, _, _ in per])
+        start = np.concatenate([i for _, i, _ in per])
+        length = np.concatenate([n for _, _, n in per])
+        hit = piece >= 0
+        return cls([len(s) for s in strings], string[hit], start[hit], length[hit], piece[hit],
+                   len(pieces), freqs)
+
+    def parts(self) -> "_Lattice":
+        """One string per multi-char piece that has an arc here: the lattice
+        of the piece's own substrings without the piece itself, cut from
+        the span of one of the piece's arcs, which holds exactly those arcs."""
+        arc = np.full(self.n_pieces + 1, -1)
+        arc[self.piece] = np.arange(len(self.piece))  # any arc of a piece will do
+        pieces = np.flatnonzero(arc[:-1] >= 0)
+        arc = arc[pieces]
+        keep = self.dst[arc] - self.src[arc] > 1
+        pieces, arc = pieces[keep], arc[keep]
+        lo, end = self.src[arc], self.dst[arc]
+        # the arcs leaving the span's nodes are one run of ids, as src is sorted
+        a = np.searchsorted(self.src, lo)
+        run = np.searchsorted(self.src, end) - a
+        owner = np.repeat(np.arange(len(arc)), run)
+        ids = np.repeat(a - (np.cumsum(run) - run), run) + np.arange(run.sum())
+        inside = (self.dst[ids] <= end[owner]) & (ids != arc[owner])
+        ids, owner = ids[inside], owner[inside]
+        return _Lattice(end - lo, owner, self.src[ids] - lo[owner], self.dst[ids] - self.src[ids],
+                        self.piece[ids], self.n_pieces, rows=pieces)
+
+    def em_step(self, logp: np.ndarray) -> tuple[np.ndarray, float]:
+        """One EM step on the log-probs ``logp``. Returns (updated log-probs,
+        corpus log-likelihood under the *input* ones). Expected piece counts
+        come from forward-backward posteriors; the M-step renormalizes them.
+        Bit for bit the same as walking each word's ``_lattice`` with
+        ``_logaddexp``: ``np.logaddexp`` equals it, each node accumulates in
+        the same order, the counts add up arc by arc in (word, start, end)
+        order, and ``math.exp``, ``math.log`` and ``sum`` stay where numpy
+        would round differently."""
+        score = np.append(logp, UNK_SCORE)
+        alpha = np.full(self.n_nodes, -np.inf)
+        alpha[self.first] = 0.0
+        for src, dst, piece, _ in self._fwd:
+            alpha[dst] = np.logaddexp(alpha[dst], alpha[src] + score[piece])
+        beta = np.full(self.n_nodes, -np.inf)
+        beta[self.last] = 0.0
+        for src, dst, piece, _ in self._bwd:
+            beta[src] = np.logaddexp(beta[src], score[piece] + beta[dst])
+        z = alpha[self.last]
+        loglik = 0.0
+        for freq, zw in zip(self.freq.tolist(), z.tolist()):
+            loglik += freq * zw
+        arcs = np.flatnonzero(np.isfinite(score[self.piece]) & (self.piece < self.n_pieces))
+        src, dst, piece, string = self.src[arcs], self.dst[arcs], self.piece[arcs], self.string[arcs]
+        post = alpha[src] + score[piece] + beta[dst] - z[string]
+        weights = self.freq[string] * np.fromiter(map(math.exp, post.tolist()), np.float64, len(post))
+        expected = np.bincount(piece, weights, minlength=self.n_pieces)
+        live = np.flatnonzero(np.isfinite(logp))
+        counts = expected[live]
+        total = sum(counts.tolist())  # the floor keeps log finite where a count underflows
+        out = np.full(self.n_pieces, -np.inf)
+        out[live] = list(map(math.log, (np.maximum(counts, 1e-300) / total).tolist()))
+        return out, loglik
+
+    def _viterbi(self, logp):
+        """Max-plus forward: (alpha, back), ``back[j]`` the id of the first
+        best arc into node j in ascending start order, as ``_segment`` walks."""
+        score = np.append(logp, UNK_SCORE)
+        alpha = np.full(self.n_nodes, -np.inf)
+        alpha[self.first] = 0.0
+        back = np.zeros(self.n_nodes, dtype=np.intp)
+        for src, dst, piece, ids in self._fwd:
+            cand = alpha[src] + score[piece]
+            better = cand > alpha[dst]
+            alpha[dst[better]] = cand[better]
+            back[dst[better]] = ids[better]
+        return alpha, back
+
+    def best_scores(self, logp: np.ndarray) -> np.ndarray:
+        """Each string's Viterbi score."""
+        return self._viterbi(logp)[0][self.last]
+
+    def best_counts(self, logp: np.ndarray) -> np.ndarray:
+        """How often each piece occurs in the strings' Viterbi segmentations,
+        weighted by string frequency (whole numbers, exact in float64)."""
+        _, back = self._viterbi(logp)
+        counts = np.zeros(self.n_pieces + 1)
+        node, freq = self.last, self.freq
+        while node.size:
+            arc = back[node]
+            counts += np.bincount(self.piece[arc], freq, minlength=self.n_pieces + 1)
+            node = self.src[arc]
+            more = ~self.is_first[node]
+            node, freq = node[more], freq[more]
+        return counts[:-1]
 
 
-def _prune(pieces: dict[str, float], word_counts: Counter, target_pieces: int) -> dict[str, float]:
-    """Drop the lowest-contribution multi-char pieces (at most PRUNE_STEP of
-    them per call, never below the target). Contribution is the estimated
-    likelihood loss if the piece were resegmented by the remaining inventory."""
-    prunable = [p for p in pieces if len(p) > 1]
-    if len(pieces) <= target_pieces or not prunable:
-        return pieces
-    expected: Counter = Counter()
-    for word, freq in word_counts.items():
-        seg, _ = _segment(word, pieces)
-        for piece in seg:
-            if piece is not None:
-                expected[piece] += freq
-    scores = []
-    rest = dict(pieces)  # one shared copy: each piece is popped, scored, restored
-    for p in prunable:
-        count = expected.get(p, 0)
-        if count == 0:
-            scores.append((0.0, p))
-            continue
-        lp = rest.pop(p)
-        _, alt = _segment(p, rest)
-        rest[p] = lp
-        scores.append((count * (lp - alt), p))
-    scores.sort()
-    n_drop = min(max(1, int(len(prunable) * PRUNE_STEP)), len(pieces) - target_pieces)
-    doomed = {p for _, p in scores[:n_drop]}
-    return {p: lp for p, lp in pieces.items() if p not in doomed}
+class _Fit:
+    """A unigram fit in progress over one lattice of the corpus words, built
+    once against the seed inventory. ``logp`` is indexed like the seed
+    pieces; pruning sets a piece to -inf and never drops a single character,
+    so every position keeps a live arc."""
+
+    def __init__(self, word_counts: Counter, seed: dict[str, float]):
+        self.pieces = list(seed)
+        self.logp = np.array(list(seed.values()))
+        self.words = _Lattice.of_strings(word_counts, self.pieces, list(word_counts.values()))
+        self.parts = self.words.parts()
+        self.multi = np.array([len(p) > 1 for p in self.pieces], dtype=bool)
+        self.rank = np.empty(len(self.pieces), dtype=np.intp)  # order of the pieces as strings
+        self.rank[sorted(range(len(self.pieces)), key=self.pieces.__getitem__)] = \
+            np.arange(len(self.pieces))
+
+    def em_step(self) -> float:
+        """One EM step; returns the log-likelihood before it."""
+        self.logp, loglik = self.words.em_step(self.logp)
+        return loglik
+
+    def prune(self, target_pieces: int) -> bool:
+        """Drop the lowest-contribution multi-char pieces (at most PRUNE_STEP
+        of them per call, never below the target) and renormalize the
+        survivors; False, changing nothing, at or below the target or with
+        no multi-char piece left. Contribution is the estimated likelihood
+        loss if the piece were resegmented by the remaining inventory: its
+        Viterbi count over the corpus times its log-prob less the best score
+        of its ``parts``. Equal losses drop the smaller piece first."""
+        logp = self.logp
+        live = np.isfinite(logp)
+        prunable = np.flatnonzero(live & self.multi)
+        size = int(np.count_nonzero(live))
+        if size <= target_pieces or not prunable.size:
+            return False
+        count = self.words.best_counts(logp)[prunable]
+        alt = np.zeros(len(logp))
+        alt[self.parts.rows] = self.parts.best_scores(logp)
+        loss = np.where(count == 0, 0.0, count * (logp[prunable] - alt[prunable]))
+        n_drop = min(max(1, int(len(prunable) * PRUNE_STEP)), size - target_pieces)
+        logp = logp.copy()
+        logp[prunable[np.lexsort((self.rank[prunable], loss))[:n_drop]]] = -np.inf
+        kept = np.flatnonzero(np.isfinite(logp))
+        logp[kept] -= _logsumexp(logp[kept].tolist())
+        self.logp = logp
+        return True
+
+    def inventory(self) -> dict[str, float]:
+        """The live pieces and their log-probs, in seed order."""
+        kept = np.flatnonzero(np.isfinite(self.logp))
+        return dict(zip([self.pieces[k] for k in kept], self.logp[kept].tolist()))
 
 
 def train_unigram(sentences, target_vocab: int, seed: int = 0,
@@ -283,26 +453,20 @@ def train_unigram(sentences, target_vocab: int, seed: int = 0,
     for s in sentences:
         word_counts.update(_words(s))
 
-    pieces = _seed_pieces(word_counts)
     alphabet = {c for w in word_counts for c in w}
     if target_vocab < len(alphabet) + NUM_SPECIALS:
         raise DataError(
             f"target vocab {target_vocab} cannot cover {len(alphabet)} characters plus {NUM_SPECIALS} specials")
     target_pieces = target_vocab - NUM_SPECIALS
 
+    fit = _Fit(word_counts, _seed_pieces(word_counts))
     while True:
         for _ in range(EM_STEPS):
-            pieces, _ = _em_step(pieces, word_counts)
-        if len(pieces) <= target_pieces:
+            fit.em_step()
+        if not fit.prune(target_pieces):
             break
-        pruned = _prune(pieces, word_counts, target_pieces)
-        if len(pruned) == len(pieces):
-            break
-        # Renormalize the survivors before the next EM round.
-        total = _logsumexp(list(pruned.values()))
-        pieces = {p: lp - total for p, lp in pruned.items()}
-    pieces, _ = _em_step(pieces, word_counts)
-    return TokenizerModel(pieces)
+    fit.em_step()
+    return TokenizerModel(fit.inventory())
 
 
 # ---------------------------------------------------------------------------

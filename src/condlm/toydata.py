@@ -1,4 +1,4 @@
-"""Small synthetic annotated corpora for demos, smoke tests, and the
+"""A small synthetic annotated corpus for demos, smoke tests, and the
 desk-scale memorization runs.
 
 The fixed eight-document corpus is built so a toy model can memorize it:
@@ -13,8 +13,6 @@ only way to tell their continuations apart).
 from __future__ import annotations
 
 import json
-
-import numpy as np
 
 from .textio import write_atomic
 
@@ -86,41 +84,6 @@ def memorization_documents() -> list[dict]:
             "keywords": keywords,
             "title": _annotate(sentences[0]),
             "sentences": [_annotate(s) for s in sentences],
-        })
-    return docs
-
-
-_WORD_POOL = ["gene", "cell", "tumor", "mice", "serum", "lipid", "bone",
-              "graft", "acid", "salt", "dna", "rna", "liver", "iron", "gold",
-              "dose", "assay", "probe", "level", "mass", "loss", "cold",
-              "small", "rapid", "early", "shows", "grows", "binds", "rises",
-              "heals", "marks", "store", "slows", "guide", "the", "a", "in",
-              "with", "under", "and"]
-_KEYWORD_POOL = [f"mesh-{w}" for w in ("tumor", "serum", "bone", "liver",
-                                       "iron", "gold", "rna", "dna", "cell",
-                                       "acid", "cold", "dose")]
-
-
-def random_documents(count: int, seed: int = 0, min_sentences: int = 1,
-                     max_sentences: int = 4) -> list[dict]:
-    """Synthetic records with plausible shape; content is word salad."""
-    rng = np.random.default_rng(seed)
-    docs = []
-    for i in range(count):
-        n_sents = int(rng.integers(min_sentences, max_sentences + 1))
-        sentences = []
-        for _ in range(1 + n_sents):  # first one doubles as the title
-            n_words = int(rng.integers(3, 8))
-            words = [str(rng.choice(_WORD_POOL)) for _ in range(n_words)]
-            sentences.append(" ".join(words) + " .")
-        n_kw = int(rng.integers(0, 4))
-        keywords = sorted({str(rng.choice(_KEYWORD_POOL)) for _ in range(n_kw)})
-        docs.append({
-            "id": f"synth-{i:05d}",
-            "year": 1980 + int(rng.integers(0, 40)),
-            "keywords": keywords,
-            "title": _annotate(sentences[0]),
-            "sentences": [_annotate(s) for s in sentences[1:]],
         })
     return docs
 

@@ -1,7 +1,8 @@
 """Brute-force reference implementations used only by the tests.
 
 Deliberately independent routes: enumeration instead of dynamic
-programming, an E-step on numpy scalars over its own arc lists, explicit
+programming, an E-step on numpy scalars over its own arc lists, a prune
+that resegments every word and piece on dicts, explicit
 normalized TF-IDF vectors instead of the cancelled form, recursive LCS, a
 fully exhaustive METEOR alignment search, LAMB one tensor at a time
 instead of over the flat arena, and attention and layer-norm gradients row
@@ -17,6 +18,8 @@ from collections import Counter
 from functools import lru_cache
 
 import numpy as np
+
+from condlm.tokenizer import _segment
 
 
 def grams(tokens, n):
@@ -233,6 +236,54 @@ def o_em_step_numpy(pieces, word_counts, unk_score=-100.0):
                     expected[piece] += freq * math.exp(alpha[i] + lp + beta[j] - z)
     total = sum(expected.values())
     return {p: math.log(max(c, 1e-300) / total) for p, c in expected.items()}, loglik
+
+
+def o_prune(pieces, word_counts, target_pieces, prune_step=0.2):
+    """The tokenizer's former prune, on dicts: drop the lowest-contribution
+    multi-char pieces, each scored by re-running ``_segment`` on every word
+    and on the piece itself without it."""
+    prunable = [p for p in pieces if len(p) > 1]
+    if len(pieces) <= target_pieces or not prunable:
+        return pieces
+    expected = Counter()
+    for word, freq in word_counts.items():
+        seg, _ = _segment(word, pieces)
+        for piece in seg:
+            if piece is not None:
+                expected[piece] += freq
+    scores = []
+    rest = dict(pieces)  # one shared copy: each piece is popped, scored, restored
+    for p in prunable:
+        count = expected.get(p, 0)
+        if count == 0:
+            scores.append((0.0, p))
+            continue
+        lp = rest.pop(p)
+        _, alt = _segment(p, rest)
+        rest[p] = lp
+        scores.append((count * (lp - alt), p))
+    scores.sort()
+    n_drop = min(max(1, int(len(prunable) * prune_step)), len(pieces) - target_pieces)
+    doomed = {p for _, p in scores[:n_drop]}
+    return {p: lp for p, lp in pieces.items() if p not in doomed}
+
+
+def o_fit(seed, word_counts, target_pieces, em_steps=2):
+    """The tokenizer fit on dicts: ``o_em_step_numpy`` and ``o_prune`` from
+    the ``seed`` inventory, renormalizing the survivors of each prune."""
+    pieces = dict(seed)
+    while True:
+        for _ in range(em_steps):
+            pieces, _ = o_em_step_numpy(pieces, word_counts)
+        if len(pieces) <= target_pieces:
+            break
+        pruned = o_prune(pieces, word_counts, target_pieces)
+        if len(pruned) == len(pieces):
+            break
+        m = max(pruned.values())
+        total = m + math.log(sum(math.exp(x - m) for x in pruned.values()))
+        pieces = {p: lp - total for p, lp in pruned.items()}
+    return o_em_step_numpy(pieces, word_counts)[0]
 
 
 def o_best_segmentation_score(word, pieces):

@@ -4,7 +4,9 @@ cached greedy decoding of the memorized model equals full recompute.
 Each test prints a single ``[PASS]/[FAIL] criterion NN`` line with the
 measured value next to its stated tolerance, asserts the bound, and the
 collected lines are written to ``acceptance_report.txt`` at the repository
-root when the module finishes (run with ``-s`` to see the lines live).
+root when the module finishes (run with ``-s`` to see the lines live). A
+wall-time bound is checked and printed live with the measured seconds, but
+the file names only the bound, so an unchanged run leaves it unchanged.
 """
 
 import itertools
@@ -33,11 +35,18 @@ _LINES: dict[int, str] = {}
 HEADS = ("token_logits", "pos_logits", "dep_logits", "ent_logits")
 
 
-def record(num: int, name: str, ok: bool, detail: str) -> None:
-    line = f"[{'PASS' if ok else 'FAIL'}] criterion {num:02d} {name}: {detail}"
+def record(num: int, name: str, ok: bool, detail: str,
+           elapsed: float | None = None, bound: float | None = None) -> None:
+    """``elapsed`` seconds, if given, must also stay under ``bound``."""
+    if bound is not None:
+        ok = ok and elapsed < bound
+    line = live = f"[{'PASS' if ok else 'FAIL'}] criterion {num:02d} {name}: {detail}"
+    if bound is not None:
+        line += f"; wall time (< {bound:.0f}s)"
+        live += f"; {elapsed:.1f}s (< {bound:.0f}s)"
     _LINES[num] = line
-    print(line)
-    assert ok, line
+    print(live)
+    assert ok, live
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -76,12 +85,11 @@ def test_criterion_01_gradient_correctness(toy_records, toy_tok, toy_cvocab,
     res = ad.finite_diff_check(f, dict(params.items()), max_coords=250,
                                rng=np.random.default_rng(11))
     elapsed = time.perf_counter() - t0
-    ok = (res.max_rel_error < 1e-4 and res.coords_checked >= 200
-          and elapsed < 300.0)
+    ok = res.max_rel_error < 1e-4 and res.coords_checked >= 200
     record(1, "gradient correctness", ok,
            f"max rel err {res.max_rel_error:.3e} (< 1e-4) over "
            f"{res.coords_checked} coordinates (>= 200), worst at "
-           f"{res.worst_param}[{res.worst_index}]; {elapsed:.1f}s (< 300s)")
+           f"{res.worst_param}[{res.worst_index}]", elapsed, 300.0)
 
 
 # --- criterion 2: causality -------------------------------------------------------
@@ -160,11 +168,11 @@ def test_criterion_04_memorization(memorized, toy_records, toy_tok, toy_cvocab):
         out = generate(params, toy_tok, toy_cvocab, req)
         if out.text == " ".join(r.sentence_texts()):
             verbatim += 1
-    ok = token_loss < 0.2 and verbatim >= 1 and elapsed < 900.0
+    ok = token_loss < 0.2 and verbatim >= 1
     record(4, "memorization", ok,
            f"token loss {token_loss:.4f} (< 0.2) after {len(history)} LAMB steps "
            f"(<= 2000); greedy decode reproduces {verbatim}/8 abstracts verbatim "
-           f"(>= 1); {elapsed:.1f}s (< 900s)")
+           f"(>= 1)", elapsed, 900.0)
 
 
 def test_memorized_greedy_decode_matches_full_recompute(memorized, toy_records, toy_tok,

@@ -1,3 +1,4 @@
+import errno
 import os
 import stat
 import threading
@@ -59,3 +60,38 @@ def test_a_symlink_stays_a_link_and_its_target_is_replaced(tmp_path):
     assert link.is_symlink() and os.readlink(link) == str(target)
     assert target.read_text() == "new\n"
     assert leftovers(tmp_path) == [] and leftovers(tmp_path / "real") == []
+
+
+def test_a_replaced_file_keeps_its_mode(tmp_path):
+    path = tmp_path / "tokenizer.tsv"
+    path.write_text("old\n")
+    os.chmod(path, 0o600)
+    write_atomic(path, ["new\n"])
+    assert path.read_text() == "new\n"
+    assert stat.S_IMODE(os.stat(path).st_mode) == 0o600
+    made = tmp_path / "made.tsv"
+    made.write_text("x")  # a plain open() under the process umask
+    fresh = tmp_path / "fresh.tsv"
+    write_atomic(fresh, ["new\n"])
+    assert stat.S_IMODE(os.stat(fresh).st_mode) == stat.S_IMODE(os.stat(made).st_mode)
+
+
+def test_a_missing_directory_fails_naming_the_target(tmp_path):
+    path = tmp_path / "missing" / "df.tsv"
+    with pytest.raises(FileNotFoundError) as info:
+        write_atomic(path, ["row\n"])
+    assert info.value.filename == str(path) and info.value.filename2 is None
+    assert str(path) in str(info.value) and ".tmp" not in str(info.value)
+
+
+def test_a_failed_write_names_the_target(tmp_path):
+    path = tmp_path / "ckpt-0000004.bin"
+
+    def parts():
+        yield b"a first block"
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))  # as a full disk fails a write
+
+    with pytest.raises(OSError) as info:
+        write_atomic(path, parts())
+    assert info.value.errno == errno.ENOSPC and info.value.filename == str(path)
+    assert not path.exists() and leftovers(tmp_path) == []

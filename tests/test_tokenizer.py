@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from condlm import tokenizer as tk
 from condlm.errors import DataError
 
-from oracles import o_best_segmentation_score, o_em_step, o_em_step_numpy, o_segmentations
+from oracles import (o_best_segmentation_score, o_em_step, o_em_step_numpy, o_fit, o_prune,
+                     o_segmentations)
 
 # Hand lattice: P(▁)=1 (normalization aside), the interesting mass is on
 # splitting "ab" as one piece vs two.
@@ -154,10 +155,11 @@ def em_corpus():
 
 def test_em_step_matches_enumeration_oracle():
     counts = em_corpus()
-    pieces = tk._seed_pieces(counts)
-    oracle = dict(pieces)
+    fit = tk._Fit(counts, tk._seed_pieces(counts))
+    oracle = fit.inventory()
     for _ in range(3):
-        pieces, ll = tk._em_step(pieces, counts)
+        ll = fit.em_step()
+        pieces = fit.inventory()
         oracle, o_ll = o_em_step(oracle, counts)
         assert ll == pytest.approx(o_ll, abs=1e-9)
         assert set(pieces) == set(oracle)
@@ -166,19 +168,23 @@ def test_em_step_matches_enumeration_oracle():
 
 
 def _assert_em_steps_match_numpy_oracle(pieces, counts, steps):
+    # one lattice, built against the first inventory, serves every step
+    fit = tk._Fit(counts, pieces)
     oracle = dict(pieces)
     for _ in range(steps):
-        pieces, ll = tk._em_step(pieces, counts)
+        ll = fit.em_step()
         oracle, o_ll = o_em_step_numpy(oracle, counts)
-        assert pieces == oracle and ll == o_ll  # bit for bit, same accumulation order
+        assert fit.inventory() == oracle and ll == o_ll  # bit for bit, same accumulation order
 
 
 def test_em_step_equals_numpy_oracle_on_toy_corpus(toy_records):
-    counts = Counter()
-    for rec in toy_records:
-        for text in [rec.title_text()] + rec.sentence_texts():
-            counts.update(tk._words(text))
+    counts = word_counts(toy_sentences(toy_records))
     _assert_em_steps_match_numpy_oracle(tk._seed_pieces(counts), counts, 4)
+
+
+def test_em_step_equals_numpy_oracle_on_seeded_corpus():
+    counts = word_counts(seeded_sentences(3))
+    _assert_em_steps_match_numpy_oracle(tk._seed_pieces(counts), counts, 3)
 
 
 def test_em_step_equals_numpy_oracle_with_unknown_characters():
@@ -206,13 +212,138 @@ def test_logaddexp_equals_numpy():
 
 def test_em_loglik_is_monotone():
     counts = em_corpus()
-    pieces = tk._seed_pieces(counts)
-    lls = []
-    for _ in range(6):
-        pieces, ll = tk._em_step(pieces, counts)
-        lls.append(ll)
+    fit = tk._Fit(counts, tk._seed_pieces(counts))
+    lls = [fit.em_step() for _ in range(6)]
     for a, b in zip(lls, lls[1:]):
         assert b >= a - 1e-9
+
+
+def toy_sentences(records):
+    return [text for rec in records for text in [rec.title_text()] + rec.sentence_texts()]
+
+
+_SYLLABLES = ["ka", "to", "ri", "men", "sa", "lu", "vo", "pe", "dri", "nox", "el", "a", "u"]
+
+
+def seeded_sentences(seed, distinct=200):
+    """``distinct`` words of one to four shared syllables, one sentence per
+    word repeating it a random number of times that falls with its rank."""
+    rng = np.random.default_rng(seed)
+    words = {}  # an ordered set: the corpus order must not follow string hashes
+    while len(words) < distinct:
+        words["".join(rng.choice(_SYLLABLES, size=rng.integers(1, 5)))] = None
+    return [" ".join([w] * int(1 + 40 // (1 + rank // 8) * rng.random()))
+            for rank, w in enumerate(words)]
+
+
+def word_counts(sentences):
+    return Counter(w for s in sentences for w in tk._words(s))
+
+
+def _arcs_by_position(lattice, row, pieces):
+    """The arcs of one string of a ``_Lattice`` in ``_lattice``'s shape."""
+    first, last = lattice.first[row], lattice.last[row]
+    out = [[] for _ in range(last - first)]
+    for src, dst, k in zip(lattice.src.tolist(), lattice.dst.tolist(), lattice.piece.tolist()):
+        if first <= src < last:
+            out[src - first].append((dst - first, pieces[k] if k < len(pieces) else None))
+    return out
+
+
+def _plain(out):
+    return [[(j, piece) for j, piece, _ in arcs] for arcs in out]
+
+
+def test_lattice_of_strings_holds_each_words_lattice_arcs_in_order():
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        words = [tk.MARKER + "".join(rng.choice(list("abcz"), size=rng.integers(1, 9)))
+                 for _ in range(20)]
+        inventory = {"".join(rng.choice(list("ab▁c"), size=rng.integers(1, 5))): -1.0
+                     for _ in range(25)}
+        pieces = list(inventory)
+        lattice = tk._Lattice.of_strings(words, pieces)
+        for row, word in enumerate(words):
+            assert _arcs_by_position(lattice, row, pieces) == _plain(tk._lattice(word, inventory))
+
+
+def test_parts_hold_each_pieces_lattice_without_itself():
+    # including positions that only a longer piece, or no piece, covers
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        counts = Counter({tk.MARKER + "".join(rng.choice(list("abcz"), size=rng.integers(1, 9))): 1
+                          for _ in range(20)})
+        inventory = {"".join(rng.choice(list("ab▁c"), size=rng.integers(1, 6))): -1.0
+                     for _ in range(25)}
+        fit = tk._Fit(counts, inventory)
+        parts = fit.parts
+        for row, k in enumerate(parts.rows.tolist()):
+            piece = fit.pieces[k]
+            rest = {p: lp for p, lp in inventory.items() if p != piece}
+            assert _arcs_by_position(parts, row, fit.pieces) == _plain(tk._lattice(piece, rest))
+        occurring = {p for p in fit.pieces if len(p) > 1 and any(p in w for w in counts)}
+        assert {fit.pieces[k] for k in parts.rows.tolist()} == occurring
+
+
+def test_best_counts_and_scores_equal_segment_under_ties():
+    # whole-number scores make equal-scoring paths common: the first best arc
+    # in ascending start order must win, as ``_segment`` walks back
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        inventory = {p: float(rng.choice([-1.0, -2.0, -3.0]))
+                     for p in dict.fromkeys(["▁", "a", "b", "c"] + [
+                         "".join(rng.choice(list("ab▁c"), size=rng.integers(2, 5))) for _ in range(20)])}
+        words = [tk.MARKER + "".join(rng.choice(list("abcz"), size=rng.integers(1, 9)))
+                 for _ in range(20)]
+        freqs = rng.integers(1, 5, size=len(words)).tolist()
+        pieces = list(inventory)
+        logp = np.array(list(inventory.values()))
+        lattice = tk._Lattice.of_strings(words, pieces, freqs)
+        want, scores = Counter(), []
+        for word, freq in zip(words, freqs):
+            seg, score = tk._segment(word, inventory)
+            for piece in seg:
+                if piece is not None:
+                    want[piece] += freq
+            scores.append(score)
+        assert lattice.best_scores(logp).tolist() == scores
+        got = lattice.best_counts(logp).tolist()
+        assert {pieces[k]: c for k, c in enumerate(got) if c} == dict(want)
+
+
+def _assert_prunes_match_oracle(counts, target_pieces):
+    fit = tk._Fit(counts, tk._seed_pieces(counts))
+    rounds = 0
+    while True:
+        for _ in range(tk.EM_STEPS):
+            fit.em_step()
+        before = fit.inventory()
+        want = o_prune(before, counts, target_pieces, tk.PRUNE_STEP)
+        pruned = fit.prune(target_pieces)
+        assert set(fit.inventory()) == set(want)
+        assert pruned == (len(want) < len(before))
+        if not pruned:
+            return rounds
+        rounds += 1
+
+
+def test_prune_rounds_drop_what_the_oracle_drops(toy_records):
+    assert _assert_prunes_match_oracle(word_counts(toy_sentences(toy_records)), 156) >= 3
+    assert _assert_prunes_match_oracle(word_counts(seeded_sentences(5)), 120) >= 10
+
+
+@pytest.mark.parametrize("corpus", ["toy", "seeded"])
+def test_fit_equals_oracle_fit(corpus, toy_records):
+    # every log-prob and the id order, with ==: no float may move
+    if corpus == "toy":
+        sentences, target_vocab = toy_sentences(toy_records), 160
+    else:
+        sentences, target_vocab = seeded_sentences(11), 124
+    counts = word_counts(sentences)
+    model = tk.train_unigram(sentences, target_vocab)
+    oracle = o_fit(tk._seed_pieces(counts), counts, target_vocab - tk.NUM_SPECIALS)
+    assert model.pieces == oracle
+    assert model.piece_of == tk.TokenizerModel(oracle).piece_of
 
 
 def test_seed_pieces_coverage_and_frequency_threshold():
@@ -289,18 +420,6 @@ def test_roundtrip_over_known_alphabet(words):
 def test_roundtrip_normalizes_case_and_whitespace():
     model = hand_model()
     assert tk.decode(model, tk.encode_viterbi(model, "  AB   a\tB ")) == "ab a b"
-
-
-def test_lattice_default_bound_matches_longest_piece_bound():
-    # pieces longer than the word can never match inside it, so bounding
-    # arcs by the word's length gives the same lattice
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        inventory = {"".join(rng.choice(list("ab▁"), size=rng.integers(1, 9))): -1.0
-                     for _ in range(rng.integers(1, 25))}
-        word = tk.MARKER + "".join(rng.choice(list("ab"), size=rng.integers(0, 8)))
-        longest = max(len(p) for p in inventory)
-        assert tk._lattice(word, inventory) == tk._lattice(word, inventory, longest)
 
 
 def test_lattice_lists_arcs_by_start_in_ascending_end():
