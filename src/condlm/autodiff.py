@@ -327,9 +327,12 @@ def attention(q, k, v, mask: np.ndarray | None = None) -> Tensor:
 
 def normalize(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
     """Layer norm over the last axis (biased variance), then the affine
-    gain and bias, on plain arrays: (output, normalized x, 1 / std)."""
-    xc = x - x.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + LN_EPS)
+    gain and bias, on plain arrays: (output, normalized x, 1 / std). Each
+    mean is a sum divided by the width, which equals ``ndarray.mean`` bit
+    for bit without its Python wrapper."""
+    d = x.shape[-1]
+    xc = x - x.sum(axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / d + LN_EPS)
     xhat = xc * inv
     return gain * xhat + bias, xhat, inv
 
@@ -350,8 +353,8 @@ def add_norm(a, b, gain: Tensor, bias: Tensor) -> Tensor:
             bias.accumulate(g.reshape(-1, d).sum(axis=0))
         if a.requires_grad or b.requires_grad:
             gx = g * gain.data
-            m1 = gx.mean(axis=-1, keepdims=True)
-            m2 = (gx * xhat).mean(axis=-1, keepdims=True)
+            m1 = gx.sum(axis=-1, keepdims=True) / d
+            m2 = (gx * xhat).sum(axis=-1, keepdims=True) / d
             gx = inv * (gx - m1 - xhat * m2)
             for t in (a, b):
                 if t.requires_grad:

@@ -3,19 +3,20 @@
 The prompt is the start-of-abstract token followed by the Viterbi
 tokenization of the lowercased title. Tokens are then sampled one at a
 time from the temperature-scaled next-token distribution, optionally
-truncated to the top-k ids or the top-p probability mass (renormalized).
+truncated to the top-k ids, then to the top-p probability mass of those
+(renormalized).
 Generation stops at the end-of-abstract token or the token budget. Once
 the sequence reaches the model's max length n, the decoder input slides to
 the most recent n-1 tokens.
 
 Each request calls ``forward`` once per token with its own ``DecodeCache``,
-whose ``step`` decodes on plain arrays with no autodiff graph: the encoder
-and the cross-attention keys and values run once for the request's
-conditions, and while the window grows by one token per step only that
-token goes through the decoder, against each layer's cached self-attention
-keys and values. After the window slides, every position shifts, so each
-later step prefills the whole window, the last decoder block for the last
-row only.
+whose ``step`` decodes on plain arrays with no autodiff graph and returns
+the next-token logits only: the encoder and the cross-attention keys and
+values run once for the request's conditions, and while the window grows
+by one token per step only that token goes through the decoder, against
+each layer's cached self-attention keys and values. After the window
+slides, every position shifts, so each later step prefills the whole
+window, the last decoder block for the last row only.
 """
 
 from __future__ import annotations
@@ -58,7 +59,11 @@ def sample_next(logits: np.ndarray, temperature: float, rng: np.random.Generator
                 top_k: int | None = None, top_p: float | None = None) -> tuple[int, float]:
     """Draw one token id. Returns (id, probability of that id under the
     final truncated, renormalized distribution). temperature == 0 is the
-    greedy limit: argmax with probability 1."""
+    greedy limit: argmax with probability 1. Top-p keeps the smallest most
+    probable set of top-k's survivors whose mass reaches ``top_p``, so at
+    least one id survives. The draw is ``rng.choice``'s: one
+    ``rng.random()`` searched in the normalized cumulative sum, here over
+    the kept ids in ascending order, where the dropped ones add only zeros."""
     logits = np.asarray(logits, dtype=np.float64)
     if not np.isfinite(logits).all():
         raise ValueError("sampling from non-finite logits")
@@ -68,24 +73,19 @@ def sample_next(logits: np.ndarray, temperature: float, rng: np.random.Generator
     z -= z.max()
     probs = np.exp(z)
     probs /= probs.sum()
-    keep = np.ones(len(probs), dtype=bool)
+    ids = np.arange(len(probs))
     if top_k is not None and top_k < len(probs):
-        mask = np.zeros(len(probs), dtype=bool)
-        mask[np.argpartition(probs, -top_k)[-top_k:]] = True
-        keep &= mask
+        ids = np.sort(np.argpartition(probs, -top_k)[-top_k:])
     if top_p is not None:
-        order = np.argsort(probs)[::-1]
-        csum = np.cumsum(probs[order])
-        cut = int(np.searchsorted(csum, top_p)) + 1
-        mask = np.zeros(len(probs), dtype=bool)
-        mask[order[:cut]] = True
-        keep &= mask
-    if not keep.any():
-        raise ValueError("sampling truncation removed every token")
-    probs = np.where(keep, probs, 0.0)
-    probs /= probs.sum()
-    choice = int(rng.choice(len(probs), p=probs))
-    return choice, float(probs[choice])
+        order = ids[np.argsort(probs[ids])[::-1]]
+        cut = int(np.searchsorted(np.cumsum(probs[order]), top_p)) + 1
+        ids = np.sort(order[:cut])
+    kept = np.zeros_like(probs)
+    kept[ids] = probs[ids]
+    kept /= kept.sum()
+    cdf = np.cumsum(kept[ids])
+    choice = int(ids[np.searchsorted(cdf / cdf[-1], rng.random(), side="right")])
+    return choice, float(kept[choice])
 
 
 @dataclass
@@ -122,10 +122,9 @@ def generate(params: ModelParameters, tok: TokenizerModel, cvocab: ConditionVoca
     termination = "max_tokens"
     for _ in range(request.max_tokens):
         window = ids if len(ids) < cfg.max_seq else ids[-(cfg.max_seq - 1):]
-        out = forward(params, np.asarray(window, dtype=np.int64),
-                      np.asarray(condition_ids, dtype=np.int64), mode="eval", cache=cache)
-        next_id, p = sample_next(out.token_logits.data[-1], request.temperature, rng,
-                                 request.top_k, request.top_p)
+        logits = forward(params, np.asarray(window, dtype=np.int64),
+                         np.asarray(condition_ids, dtype=np.int64), mode="eval", cache=cache)
+        next_id, p = sample_next(logits, request.temperature, rng, request.top_k, request.top_p)
         ids.append(next_id)
         probs.append(p)
         if next_id == END_ID:

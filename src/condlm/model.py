@@ -20,11 +20,10 @@ attention core is one ``ad.attention`` node, and each residual add with
 its LayerNorm one ``ad.add_norm`` node.
 
 ``forward`` is the training and evaluation path. Decoding one token at a
-time passes it a ``DecodeCache``, whose ``step`` runs the same model on
-plain arrays with no autodiff graph, through the same ``ad.attend`` and
-``ad.normalize`` kernels that those nodes run. It keeps each decoder layer's
-cross-attention keys and values, and its self-attention keys and values,
-between calls, so a window that grows by one token runs only that token.
+time passes it a ``DecodeCache``, whose ``step`` runs the model up to the
+token head on arrays resolved once per request, through the kernels those
+nodes run. It keeps the cross- and self-attention keys and values between
+calls, so a window that grows by one token runs only that token.
 """
 
 from __future__ import annotations
@@ -79,14 +78,16 @@ class ModelParameters:
         return {name: flat[a:b].reshape(shape)
                 for (name, shape), (a, b) in zip(self.shapes.items(), self.spans)}
 
-    def grads(self) -> list[np.ndarray]:
-        """Per-tensor views of the gradient buffer, allocated on first use.
-        A tensor whose ``data`` has been rebound away from its arena view
-        is refused: training would update the arena, not that array."""
+    def check_views(self) -> None:
+        """Refuse a tensor rebound away from its arena view, which training updates and decoding reads."""
         for (name, t), view in zip(self.tensors.items(), self._views):
             if t.data is not view:
                 raise ValueError(f"parameter {name} no longer holds its view of the arena; "
                                  f"write into its data instead of rebinding it")
+
+    def grads(self) -> list[np.ndarray]:
+        """Per-tensor views of the gradient buffer, allocated on first use."""
+        self.check_views()
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
             self._grads = list(self.layout(self.grad).values())
@@ -226,87 +227,86 @@ def causal_mask(t: int, dtype=np.float64) -> np.ndarray:
     return np.triu(np.full((t, t), NEG_INF, dtype=dtype), 1)
 
 
-# Plain-array versions of the blocks above, for ``DecodeCache.step``: ``w``
-# maps parameter names to arrays; keys and values are (heads, rows, head_dim).
-# Attention and the residual layer norm run the graph ops' own kernels.
+def _decode_arrays(params: ModelParameters) -> tuple:
+    """(condition and token embeddings, positional encoding, encoder blocks, decoder
+    blocks, token head). Each block lists its arrays in ``parameter_shapes`` order, the
+    order ``DecodeCache.step`` reads them, with q, k and v as one (3, d, d) arena view."""
+    params.check_views()
+    cfg, d, arrays = params.config, params.config.d_model, {}
+    for (name, t), (a, _) in zip(params.items(), params.spans):
+        prefix, _, part = name.partition(".")
+        block = arrays.setdefault(prefix, [])
+        if part.endswith(".q"):
+            block.append(params.data[a:a + 3 * d * d].reshape(3, d, d))
+        elif not part.endswith((".k", ".v")):
+            block.append(t.data)
+    return (arrays["cond_emb"][0], arrays["tok_emb"][0],
+            positional_encoding(cfg.max_seq, d, params.dtype),
+            [arrays[f"enc{i}"] for i in range(cfg.encoder_blocks)],
+            [arrays[f"dec{i}"] for i in range(cfg.decoder_blocks)], arrays["head"][0])
 
-def _keys_values(w: dict, prefix: str, y: np.ndarray, heads: int):
-    return ad.to_heads(y @ w[f"{prefix}.k"], heads), ad.to_heads(y @ w[f"{prefix}.v"], heads)
 
-
-def _attend(w: dict, prefix: str, x: np.ndarray, kv, mask: np.ndarray | None = None):
-    k, v = kv
-    mixed, _ = ad.attend(ad.to_heads(x @ w[f"{prefix}.q"], len(k)), k, v, mask)
-    return ad.from_heads(mixed) @ w[f"{prefix}.out"]
-
-
-def _add_norm(w: dict, prefix: str, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    return ad.normalize(out + x, w[f"{prefix}.gain"], w[f"{prefix}.bias"])[0]
-
-
-def _feed_forward(w: dict, prefix: str, x: np.ndarray) -> np.ndarray:
-    return np.maximum(x @ w[f"{prefix}.w1"], 0) @ w[f"{prefix}.w2"]
+def _attention(q, k, v, out: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+    return ad.from_heads(ad.attend(q, k, v, mask)[0]) @ out
 
 
 @dataclass
 class DecodeCache:
     """Per-request decoding state for ``step``, on plain arrays: the
-    parameters and their arrays by name, the canonical condition ids with
-    each decoder layer's cross-attention keys and values, and the last
+    parameters and their ``_decode_arrays``, the canonical condition ids
+    with each decoder layer's cross-attention keys and values, and the last
     window, whose self-attention keys and values are the first
     ``len(window)`` rows of ``kv`` (layers, 2, heads, max_seq, head_dim)."""
     params: ModelParameters | None = None
-    weights: dict = field(default_factory=dict)
-    pe: np.ndarray | None = None
+    arrays: tuple = ()
     conditions: np.ndarray | None = None
     cross: list = field(default_factory=list)
     kv: np.ndarray | None = None
     window: np.ndarray | None = None
 
-    def step(self, params: ModelParameters, window, condition_ids) -> ForwardOutput:
-        """The uncached ``forward``'s four head logits for the last row of
-        the 1-d ``window``, as constants. The encoder runs when the
-        parameters or the canonical conditions change. A window that extends
-        the last one by a token runs only that token against the cached keys
-        and values; any other is prefilled whole. The last block computes
-        its last row only."""
+    def step(self, params: ModelParameters, window, condition_ids) -> np.ndarray:
+        """The uncached ``forward``'s token logits for the last row of the
+        1-d ``window``, as a 1-d array. The encoder runs when the parameters
+        or the canonical conditions change. A window that extends the last
+        one by a token runs only that token against the cached keys and
+        values; any other is prefilled whole, the last block for its last
+        row only. q, k and v are one product over the rows they need."""
         cfg, heads = params.config, params.config.heads
         window = np.asarray(window, dtype=np.int64)
         t = len(window)
         if self.params is not params:
             shape = (cfg.decoder_blocks, 2, heads, cfg.max_seq, cfg.head_dim)
-            self.__init__(params=params, weights={n: p.data for n, p in params.items()},
-                          pe=positional_encoding(cfg.max_seq, cfg.d_model, params.dtype),
-                          kv=np.empty(shape, params.dtype))
-        w = self.weights
+            self.__init__(params=params, arrays=_decode_arrays(params), kv=np.empty(shape, params.dtype))
+        cond_emb, tok_emb, pe, encoder, decoder, head = self.arrays
         conditions = np.sort(np.asarray(condition_ids, dtype=np.int64))
         if not np.array_equal(self.conditions, conditions):
             # the learned null condition first, as in ``forward``; no key is masked
-            enc = ad.gather_rows(w["cond_emb"], np.append(cfg.cond_vocab, conditions))
-            for i in range(cfg.encoder_blocks):
-                kv = _keys_values(w, f"enc{i}.self", enc, heads)
-                enc = _add_norm(w, f"enc{i}.ln1", enc, _attend(w, f"enc{i}.self", enc, kv))
-                enc = _add_norm(w, f"enc{i}.ln2", enc, _feed_forward(w, f"enc{i}.ff", enc))
-            self.cross = [_keys_values(w, f"dec{i}.cross", enc, heads)
-                          for i in range(cfg.decoder_blocks)]
+            x = ad.gather_rows(cond_emb, np.append(cfg.cond_vocab, conditions))
+            for qkv, out, g1, b1, w1, w2, g2, b2 in encoder:
+                x = ad.normalize(_attention(*ad.to_heads(np.matmul(x, qkv), heads), out) + x, g1, b1)[0]
+                x = ad.normalize(np.maximum(x @ w1, 0) @ w2 + x, g2, b2)[0]
+            self.cross = [ad.to_heads(np.matmul(x, xqkv[1:]), heads)  # cross k and v
+                          for _, _, _, _, xqkv, *_ in decoder]
             self.conditions, self.window = conditions, None
 
         known = self.window
         grows = known is not None and t == len(known) + 1 and np.array_equal(window[:-1], known)
         start = t - 1 if grows else 0
-        x = ad.gather_rows(w["tok_emb"], window[start:]) + self.pe[start:t]
-        mask = None if grows else causal_mask(t, x.dtype)
-        for i in range(cfg.decoder_blocks):
-            self.kv[i, :, :, start:t] = _keys_values(w, f"dec{i}.self", x, heads)
-            if i == cfg.decoder_blocks - 1:  # the last row attends to every key
-                x, mask = x[-1:], None
-            kv = self.kv[i, :, :, :t]
-            x = _add_norm(w, f"dec{i}.ln1", x, _attend(w, f"dec{i}.self", x, kv, mask))
-            x = _add_norm(w, f"dec{i}.ln2", x, _attend(w, f"dec{i}.cross", x, self.cross[i]))
-            x = _add_norm(w, f"dec{i}.ln3", x, _feed_forward(w, f"dec{i}.ff", x))
+        x = ad.gather_rows(tok_emb, window[start:]) + pe[start:t]
+        mask = None if len(x) == 1 else causal_mask(t, x.dtype)
+        for i, (qkv, out, g1, b1, xqkv, xout, g2, b2, w1, w2, g3, b3) in enumerate(decoder):
+            if len(x) == 1 or i < len(decoder) - 1:
+                qkv_rows = ad.to_heads(np.matmul(x, qkv), heads)
+                q, kv = qkv_rows[0], qkv_rows[1:]
+            else:  # the last row attends to every key, and is all the last block needs
+                kv, x, mask = ad.to_heads(np.matmul(x, qkv[1:]), heads), x[-1:], None
+                q = ad.to_heads(x @ qkv[0], heads)
+            self.kv[i, :, :, start:t] = kv
+            x = ad.normalize(_attention(q, *self.kv[i, :, :, :t], out, mask) + x, g1, b1)[0]
+            x = ad.normalize(_attention(ad.to_heads(x @ xqkv[0], heads), *self.cross[i], xout) + x, g2, b2)[0]
+            x = ad.normalize(np.maximum(x @ w1, 0) @ w2 + x, g3, b3)[0]
         self.window = window.copy()
-        return ForwardOutput(*(ad.constant(x @ w[f"head.{h}"])
-                               for h in ("token", "pos", "dep", "ent")))
+        return (x @ head)[-1]
 
 
 @dataclass
@@ -320,11 +320,11 @@ class ForwardOutput:
 def forward(params: ModelParameters, input_ids, condition_ids,
             mode: str = "eval", rng: np.random.Generator | None = None,
             condition_mask: np.ndarray | None = None,
-            cache: DecodeCache | None = None) -> ForwardOutput:
+            cache: DecodeCache | None = None) -> ForwardOutput | np.ndarray:
     """Run the model. 1-d id arrays give 2-d logits (positions, vocab);
     batched 2-d inputs give 3-d logits and need ``condition_mask`` when
     condition rows are padded. With ``cache`` (one sequence in eval mode),
-    ``cache.step`` decodes instead and gives the last row's logits."""
+    ``cache.step`` decodes instead: the last row's token logits, 1-d."""
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     cfg, t = params.config, np.shape(input_ids)[-1]

@@ -7,7 +7,9 @@ normalized TF-IDF vectors instead of the cancelled form, recursive LCS, a
 fully exhaustive METEOR alignment search, LAMB one tensor at a time
 instead of over the flat arena, and attention and layer-norm gradients row
 by row through explicit Jacobians instead of the closed forms. Slow on
-purpose; inputs stay tiny.
+purpose; inputs stay tiny. The sampler's two masks and the decode step
+that looks its parameters up by name are the versions the library's own
+replaced, kept to hold those to the same bits.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from condlm import autodiff as ad
+from condlm.model import causal_mask, positional_encoding
 from condlm.tokenizer import _segment
 
 
@@ -357,3 +361,101 @@ def o_add_norm_grads(a, b, gain, g, eps=1e-5):
         d_gain += g[r] * xhat
         d_bias += g[r]
     return d_sum, d_gain, d_bias
+
+
+def o_normalize(x, gain, bias, eps=1e-5):
+    """Layer norm through ``ndarray.mean``: (output, normalized x, 1 / std)."""
+    xc = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    xhat = xc * inv
+    return gain * xhat + bias, xhat, inv
+
+
+def o_sample_next(logits, temperature, rng, top_k=None, top_p=None):
+    """The sampler with top-k and top-p as two masks over the whole
+    vocabulary, intersected, and the draw made by ``rng.choice``. On tied
+    probabilities the two masks may keep disjoint sets."""
+    logits = np.asarray(logits, dtype=np.float64)
+    if not np.isfinite(logits).all():
+        raise ValueError("sampling from non-finite logits")
+    if temperature == 0.0:
+        return int(np.argmax(logits)), 1.0
+    z = logits / temperature
+    z -= z.max()
+    probs = np.exp(z)
+    probs /= probs.sum()
+    keep = np.ones(len(probs), dtype=bool)
+    if top_k is not None and top_k < len(probs):
+        mask = np.zeros(len(probs), dtype=bool)
+        mask[np.argpartition(probs, -top_k)[-top_k:]] = True
+        keep &= mask
+    if top_p is not None:
+        order = np.argsort(probs)[::-1]
+        csum = np.cumsum(probs[order])
+        cut = int(np.searchsorted(csum, top_p)) + 1
+        mask = np.zeros(len(probs), dtype=bool)
+        mask[order[:cut]] = True
+        keep &= mask
+    if not keep.any():
+        raise ValueError("sampling truncation removed every token")
+    probs = np.where(keep, probs, 0.0)
+    probs /= probs.sum()
+    choice = int(rng.choice(len(probs), p=probs))
+    return choice, float(probs[choice])
+
+
+def o_decode_step(cache: dict, params, window, condition_ids):
+    """A decode step that looks each parameter up by name and projects q, k
+    and v one at a time: the last row's token logits, shape (1, vocab).
+    ``cache`` starts empty and holds the encoding of the last condition set,
+    each decoder layer's cross keys and values, the self-attention keys and
+    values of the last window, and that window."""
+    cfg, heads = params.config, params.config.heads
+    w = {n: p.data for n, p in params.items()}
+
+    def keys_values(prefix, y):
+        return ad.to_heads(y @ w[f"{prefix}.k"], heads), ad.to_heads(y @ w[f"{prefix}.v"], heads)
+
+    def attend(prefix, x, kv, mask=None):
+        k, v = kv
+        mixed, _ = ad.attend(ad.to_heads(x @ w[f"{prefix}.q"], len(k)), k, v, mask)
+        return ad.from_heads(mixed) @ w[f"{prefix}.out"]
+
+    def add_norm(prefix, x, out):
+        return o_normalize(out + x, w[f"{prefix}.gain"], w[f"{prefix}.bias"])[0]
+
+    def feed_forward(prefix, x):
+        return np.maximum(x @ w[f"{prefix}.w1"], 0) @ w[f"{prefix}.w2"]
+
+    window = np.asarray(window, dtype=np.int64)
+    t = len(window)
+    if cache.get("params") is not params:
+        cache.clear()
+        cache.update(params=params, pe=positional_encoding(cfg.max_seq, cfg.d_model, params.dtype),
+                     kv=np.empty((cfg.decoder_blocks, 2, heads, cfg.max_seq, cfg.head_dim),
+                                 params.dtype))
+    conditions = np.sort(np.asarray(condition_ids, dtype=np.int64))
+    if not np.array_equal(cache.get("conditions"), conditions):
+        enc = w["cond_emb"][np.append(cfg.cond_vocab, conditions)]
+        for i in range(cfg.encoder_blocks):
+            kv = keys_values(f"enc{i}.self", enc)
+            enc = add_norm(f"enc{i}.ln1", enc, attend(f"enc{i}.self", enc, kv))
+            enc = add_norm(f"enc{i}.ln2", enc, feed_forward(f"enc{i}.ff", enc))
+        cache["cross"] = [keys_values(f"dec{i}.cross", enc) for i in range(cfg.decoder_blocks)]
+        cache["conditions"], cache["window"] = conditions, None
+
+    known = cache["window"]
+    grows = known is not None and t == len(known) + 1 and np.array_equal(window[:-1], known)
+    start = t - 1 if grows else 0
+    x = w["tok_emb"][window[start:]] + cache["pe"][start:t]
+    mask = None if grows else causal_mask(t, x.dtype)
+    for i in range(cfg.decoder_blocks):
+        cache["kv"][i, :, :, start:t] = keys_values(f"dec{i}.self", x)
+        if i == cfg.decoder_blocks - 1:
+            x, mask = x[-1:], None
+        kv = cache["kv"][i, :, :, :t]
+        x = add_norm(f"dec{i}.ln1", x, attend(f"dec{i}.self", x, kv, mask))
+        x = add_norm(f"dec{i}.ln2", x, attend(f"dec{i}.cross", x, cache["cross"][i]))
+        x = add_norm(f"dec{i}.ln3", x, feed_forward(f"dec{i}.ff", x))
+    cache["window"] = window.copy()
+    return x @ w["head.token"]

@@ -183,10 +183,17 @@ def test_memorized_greedy_decode_matches_full_recompute(memorized, toy_records, 
     reqs = [GenerationRequest(title=r.title_text(), year=r.year, keywords=tuple(r.keywords),
                               max_tokens=48, temperature=0.0, seed=0) for r in toy_records]
     cached = [generate(params, toy_tok, toy_cvocab, req).token_ids for req in reqs]
-    monkeypatch.setattr(generator, "forward",
-                        lambda *args, cache=None, **kwargs: forward(*args, **kwargs))
-    full = [generate(params, toy_tok, toy_cvocab, req).token_ids for req in reqs]
-    assert cached == full
+    calls = []
+
+    def uncached_forward(*args, cache=None, **kwargs):
+        calls.append(cache)
+        return forward(*args, **kwargs).token_logits.data[-1]
+
+    monkeypatch.setattr(generator, "forward", uncached_forward)
+    full = [generate(params, toy_tok, toy_cvocab, req) for req in reqs]
+    # one patched call per generated token: no token came from the cache
+    assert len(calls) == sum(len(out.token_ids) - out.prompt_len for out in full)
+    assert cached == [out.token_ids for out in full]
 
 
 # --- criterion 5: initial-loss sanity ----------------------------------------------

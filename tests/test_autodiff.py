@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from condlm import autodiff as ad
-from oracles import o_add_norm_grads, o_attention_grads
+from oracles import o_add_norm_grads, o_attention_grads, o_normalize
 
 
 def _fd(f, params, **kw):
@@ -104,6 +104,28 @@ def test_layer_norm_normalizes():
     np.testing.assert_array_equal(out, ad.normalize(x + r, gain.data, bias.data)[0])
     with pytest.raises(ValueError, match="affine shapes"):
         ad.add_norm(ad.constant(x), ad.constant(r), ad.constant(np.ones(d - 1)), bias)
+
+
+@pytest.mark.parametrize("d", [6, 96, 100])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_normalize_equals_the_mean_based_kernel(d, dtype):
+    # a sum divided by the width rounds exactly as ndarray.mean does, in the
+    # forward kernel and in add_norm's backward
+    rng = np.random.default_rng(d)
+    for rows in (1, 2, 5, 31):
+        x, r, up = (rng.normal(1.0, 3.0, (rows, d)).astype(dtype) for _ in range(3))
+        gain, bias = (ad.constant(rng.normal(size=d).astype(dtype)) for _ in range(2))
+        want = o_normalize(x + r, gain.data, bias.data)
+        for got, expect in zip(ad.normalize(x + r, gain.data, bias.data), want):
+            assert got.dtype == dtype and np.array_equal(got, expect)
+        a = ad.parameter(x)
+        ad.backward(ad.tensor_sum(ad.mul(ad.add_norm(a, ad.constant(r), gain, bias),
+                                         ad.constant(up))))
+        _, xhat, inv = want
+        gx = up * gain.data
+        gx = inv * (gx - gx.mean(axis=-1, keepdims=True)
+                    - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
+        assert np.array_equal(a.grad, gx)
 
 
 def test_layer_norm_constant_row_collapses_to_bias():

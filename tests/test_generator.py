@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from condlm.errors import DataError
 from condlm.model import init_parameters
 from condlm.tokenizer import END_ID, START_ID, TokenizerModel
 from condlm.vocab import ConditionVocab
+from oracles import o_sample_next
 
 
 def word_tokenizer():
@@ -93,6 +96,31 @@ def test_temperature_flattens_sampling():
     assert top_cold > 0.9 > 0.5 > top_hot > 0.25
 
 
+def test_sample_next_equals_the_two_mask_sampler_without_ties():
+    # top-p over top-k's survivors keeps what the intersected masks kept, and
+    # the searchsorted draw is rng.choice's: the same id and probability
+    rng = np.random.default_rng(8)
+    for _ in range(400):
+        logits = rng.normal(0.0, 2.0, int(rng.integers(2, 2001)))
+        assert len(np.unique(np.exp(logits - logits.max()))) == len(logits)
+        temperature = float(rng.uniform(0.5, 1.5))
+        top_k = (None, 1, 5, 50, 5000)[rng.integers(5)]
+        top_p = (None, 0.5, 0.9, 1.0)[rng.integers(4)]
+        seed = int(rng.integers(2**31))
+        got = gn.sample_next(logits, temperature, np.random.default_rng(seed), top_k, top_p)
+        assert got == o_sample_next(logits, temperature, np.random.default_rng(seed), top_k, top_p)
+
+
+@pytest.mark.parametrize("n", [600, 1500])
+def test_top_k_and_top_p_agree_on_tied_probabilities(n):
+    # the two truncations once broke ties differently and could keep disjoint sets
+    rng = np.random.default_rng(9)
+    for top_k, top_p in ((1, 0.9), (3, 0.0025), (50, 0.5)):
+        cid, p = gn.sample_next(np.zeros(n), 1.0, rng, top_k=top_k, top_p=top_p)
+        kept = min(top_k, math.ceil(top_p * n))
+        assert 0 <= cid < n and p == pytest.approx(1.0 / kept)
+
+
 def test_sample_next_rejects_nonfinite():
     with pytest.raises(ValueError, match="non-finite"):
         gn.sample_next(np.array([np.nan, 0.0]), 1.0, np.random.default_rng(0))
@@ -167,9 +195,9 @@ def test_generate_greedy_is_sampling_free():
 def test_generate_end_token_termination():
     params, tok, cvocab = gen_setup()
     # rig the token head so END wins every argmax
-    head = params["head.token"]
-    head.data = np.zeros_like(head.data)
-    head.data[:, END_ID] = 1.0
+    head = params["head.token"].data
+    head[...] = 0.0
+    head[:, END_ID] = 1.0
     out = gn.generate(params, tok, cvocab,
                       gn.GenerationRequest("w0", 1990, temperature=0.0, max_tokens=50))
     assert out.termination == "end_token"
@@ -237,10 +265,6 @@ def test_generate_sentences_come_from_continuation_only():
         assert s in out.generated_text
 
 
-def uncached_forward(*args, cache=None, **kwargs):
-    return md.forward(*args, **kwargs)
-
-
 def test_generate_calls_forward_once_per_token_with_the_window(monkeypatch):
     params, tok, cvocab = gen_setup(max_seq=6)
     windows = []
@@ -265,7 +289,16 @@ def test_generate_matches_full_recompute(monkeypatch, temperature, seed):
     req = gn.GenerationRequest("w0 w1", 1991, keywords=("kw",), max_tokens=15,
                                temperature=temperature, seed=seed)
     cached = gn.generate(params, tok, cvocab, req)
+    calls = []
+
+    def uncached_forward(*args, cache=None, **kwargs):
+        calls.append(cache)
+        return md.forward(*args, **kwargs).token_logits.data[-1]
+
     monkeypatch.setattr(gn, "forward", uncached_forward)
     full = gn.generate(params, tok, cvocab, req)
+    # every token came from the patched forward, so the cache met a real reference
+    assert len(calls) == len(full.token_ids) - full.prompt_len
+    assert all(isinstance(c, md.DecodeCache) for c in calls)
     assert cached.token_ids == full.token_ids
     np.testing.assert_allclose(cached.step_probs, full.step_probs, rtol=1e-9)

@@ -197,6 +197,24 @@ def test_em_step_equals_numpy_oracle_with_unknown_characters():
         _assert_em_steps_match_numpy_oracle(pieces, counts, 3)
 
 
+def test_em_m_step_takes_math_log_of_the_normalized_counts():
+    # np.log rounds a few inputs differently from math.log, which the M-step
+    # uses. Each piece here is a one-char string of its own, so its expected
+    # count is exactly that string's frequency; a seeded search draws
+    # frequencies until np.log and math.log differ on some normalized count.
+    pieces = [chr(0x4E00 + j) for j in range(500)]
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        freqs = rng.integers(1, 2**20, len(pieces)).astype(np.float64)
+        normalized = np.maximum(freqs, 1e-300) / sum(freqs.tolist())
+        want = list(map(math.log, normalized.tolist()))
+        if (np.log(normalized) != want).any():
+            break
+    lattice = tk._Lattice.of_strings(pieces, pieces, freqs)
+    logp, _ = lattice.em_step(np.full(len(pieces), -math.log(len(pieces))))
+    assert logp.tolist() == want
+
+
 def test_logaddexp_equals_numpy():
     rng = np.random.default_rng(0)
     xs = rng.normal(0, 50, 20_000) * rng.choice([1e-3, 1.0, 1e3], 20_000)
