@@ -294,8 +294,8 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     scores = (q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(q.shape[-1]))
     if mask is not None:
         scores += mask.astype(scores.dtype, copy=False)
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    p = e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(scores - np.maximum.reduce(scores, axis=-1, keepdims=True))
+    p = e / np.add.reduce(e, axis=-1, keepdims=True)
     return p @ v, p
 
 
@@ -315,7 +315,7 @@ def attention(q, k, v, mask: np.ndarray | None = None) -> Tensor:
             v.accumulate(_sum_to_shape(p.swapaxes(-1, -2) @ g, v.data.shape))
         if q.requires_grad or k.requires_grad:
             dp = g @ v.data.swapaxes(-1, -2)
-            ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * s
+            ds = p * (dp - np.add.reduce(dp * p, axis=-1, keepdims=True)) * s
             if q.requires_grad:
                 q.accumulate(_sum_to_shape(ds @ k.data, q.data.shape))
             if k.requires_grad:
@@ -328,11 +328,12 @@ def attention(q, k, v, mask: np.ndarray | None = None) -> Tensor:
 def normalize(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
     """Layer norm over the last axis (biased variance), then the affine
     gain and bias, on plain arrays: (output, normalized x, 1 / std). Each
-    mean is a sum divided by the width, which equals ``ndarray.mean`` bit
-    for bit without its Python wrapper."""
+    mean is an ``np.add.reduce`` divided by the width, which equals
+    ``ndarray.mean`` bit for bit. The kernels here call the ufunc reductions
+    directly, skipping the Python wrappers of ``ndarray.sum`` and ``.max``."""
     d = x.shape[-1]
-    xc = x - x.sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / d + LN_EPS)
+    xc = x - np.add.reduce(x, axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, axis=-1, keepdims=True) / d + LN_EPS)
     xhat = xc * inv
     return gain * xhat + bias, xhat, inv
 
@@ -348,13 +349,13 @@ def add_norm(a, b, gain: Tensor, bias: Tensor) -> Tensor:
 
     def bw(g):
         if gain.requires_grad:
-            gain.accumulate((g * xhat).reshape(-1, d).sum(axis=0))
+            gain.accumulate(np.add.reduce((g * xhat).reshape(-1, d), axis=0))
         if bias.requires_grad:
-            bias.accumulate(g.reshape(-1, d).sum(axis=0))
+            bias.accumulate(np.add.reduce(g.reshape(-1, d), axis=0))
         if a.requires_grad or b.requires_grad:
             gx = g * gain.data
-            m1 = gx.sum(axis=-1, keepdims=True) / d
-            m2 = (gx * xhat).sum(axis=-1, keepdims=True) / d
+            m1 = np.add.reduce(gx, axis=-1, keepdims=True) / d
+            m2 = np.add.reduce(gx * xhat, axis=-1, keepdims=True) / d
             gx = inv * (gx - m1 - xhat * m2)
             for t in (a, b):
                 if t.requires_grad:

@@ -379,27 +379,44 @@ class DfCorpus:
 
 
 def build_df(token_docs: Iterable[Sequence[str]], max_order: int = MAX_ORDER) -> DfCorpus:
-    """Count, per order, in how many documents each n-gram appears."""
-    df: dict[int, dict[tuple[str, ...], int]] = {n: {} for n in range(1, max_order + 1)}
+    """Count, per order, in how many documents each n-gram appears. Each
+    document's distinct n-grams of an order are one set of tuples, zipped
+    from its shifted token lists, which a ``Counter`` of that order counts
+    in C. Orders no document reaches are dropped."""
+    counts = [Counter() for _ in range(max_order)]
     count = 0
     for doc in token_docs:
         count += 1
-        for n in range(1, max_order + 1):
-            for gram in set(ngrams(doc, n)):
-                df[n][gram] = df[n].get(gram, 0) + 1
+        for n, grams in enumerate(counts, start=1):
+            grams.update(set(zip(*[doc[i:] for i in range(n)])))
     if count == 0:
         raise DataError("document-frequency corpus is empty")
     # drop empty orders so the on-disk form round-trips to an equal object
-    return DfCorpus(count, {n: d for n, d in df.items() if d})
+    return DfCorpus(count, {n: dict(grams) for n, grams in enumerate(counts, start=1) if grams})
+
+
+# save_df joins this many rows per write: a few large writes, and a large
+# table is never one string.
+_DF_PART_ROWS = 8192
 
 
 def save_df(corpus: DfCorpus, path) -> None:
-    def lines():  # a generator, so a large table is not formatted all at once
+    """Write ``#documents<TAB>count``, then per order, ascending, one
+    ``gram<TAB>count`` row per n-gram, its tokens joined by spaces.
+
+    Each order's rows are formatted once and sorted as text, which orders
+    them as their token tuples would sort, given tokens as ``tokenize``
+    makes them: no token holds whitespace, and a token longer than one
+    character is all word characters. Where one gram's text is a prefix of
+    another's, the longer one continues with a word character, which sorts
+    after the space or tab that follows the shorter token."""
+    def parts():
         yield f"#documents\t{corpus.doc_count}\n"
         for n in sorted(corpus.df):
-            for gram, c in sorted(corpus.df[n].items()):
-                yield f"{' '.join(gram)}\t{c}\n"
-    write_atomic(path, lines())
+            rows = sorted([f"{' '.join(gram)}\t{c}\n" for gram, c in corpus.df[n].items()])
+            for a in range(0, len(rows), _DF_PART_ROWS):
+                yield "".join(rows[a:a + _DF_PART_ROWS])
+    write_atomic(path, parts())
 
 
 def load_df(path) -> DfCorpus:

@@ -53,12 +53,13 @@ def _write_parts(f, parts) -> None:
 
 def write_atomic(path, parts) -> None:
     """Write ``parts`` (``str`` as UTF-8, or bytes-like such as numpy arrays)
-    to ``.<name>.<pid>.tmp`` beside ``path``, fsync it and rename it over
-    ``path``; on any failure remove it, leaving the old file. The hidden name
-    keeps a leftover out of ``ckpt-*`` listings, and an ``OSError`` names
-    ``path``, not the temp file. A replaced file keeps its mode. A symlink is
-    followed; a FIFO or a device such as /dev/stdout cannot be replaced and
-    is written to."""
+    to ``.<name>.<pid>.tmp`` beside ``path``, fsync it, rename it over
+    ``path`` and fsync the directory, so that a crash cannot lose the rename;
+    on a failure before the rename remove the temp file, leaving the old
+    file. The hidden name keeps a leftover out of ``ckpt-*`` listings, and
+    an ``OSError`` names ``path``, not the temp file. A replaced file keeps
+    its mode. A symlink is followed; a FIFO or a device such as /dev/stdout
+    cannot be replaced and is written to."""
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "wb") as f:
             _write_parts(f, parts)
@@ -77,6 +78,11 @@ def write_atomic(path, parts) -> None:
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, target)
+        fd = os.open(os.path.dirname(target), os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
     except BaseException as e:
         with contextlib.suppress(OSError):
             os.remove(tmp)

@@ -6,7 +6,8 @@ builds one word's segmentation lattice, and ``_forward`` runs its forward
 pass for Viterbi and sampled segmentation. A piece inventory with
 log-probabilities is fit by EM over the lattices of all the training
 words, then pruned down to the target size. The fit builds those lattices
-once, as int arrays against the seed inventory (``_Lattice``), and runs
+once, as int arrays against the seed inventory (``_Lattice``), in the one
+pass over the words' substrings that counts the seed, and runs
 every pass over all words at once on one log-prob array, in which a pruned
 piece holds -inf; it gives the same floats as walking each word's
 ``_lattice``.
@@ -199,19 +200,49 @@ def decode(model: TokenizerModel, ids) -> str:
 # ---------------------------------------------------------------------------
 # Training: EM over the segmentation lattice, then contribution-based pruning.
 
-def _seed_pieces(word_counts: Counter) -> dict[str, float]:
+def _substrings(strings: list[str], max_len: int):
+    """Every substring of ``strings`` up to ``max_len`` characters, each
+    sliced once, in (string, start, end) order: (texts, string, start,
+    length). The spans are laid out once per string length."""
+    spans = {}  # string length -> (slices, starts, lengths) of every substring
+    for n in {len(s) for s in strings}:
+        ij = [(i, j) for i in range(n) for j in range(i + 1, min(n, i + max_len) + 1)]
+        spans[n] = ([slice(i, j) for i, j in ij], np.array([i for i, _ in ij], dtype=np.intp),
+                    np.array([j - i for i, j in ij], dtype=np.intp))
+    per = [spans[len(s)] for s in strings]
+    texts = list(itertools.chain.from_iterable(
+        map(s.__getitem__, sl) for s, (sl, _, _) in zip(strings, per)))
+    string = np.repeat(np.arange(len(strings)), [len(sl) for sl, _, _ in per])
+    start = np.concatenate([i for _, i, _ in per])
+    length = np.concatenate([n for _, _, n in per])
+    return texts, string, start, length
+
+
+def _seed_pieces(word_counts: Counter) -> tuple[dict[str, float], "_Lattice"]:
     """Initial inventory: substrings up to MAX_PIECE_LEN seen at least twice,
-    plus every character (guaranteed coverage). Probabilities start
-    proportional to substring counts."""
-    sub_counts: Counter = Counter()
-    for word, freq in word_counts.items():
-        n = len(word)
-        for i in range(n):
-            for j in range(i + 1, min(n, i + MAX_PIECE_LEN) + 1):
-                sub_counts[word[i:j]] += freq
-    seed = {s: c for s, c in sub_counts.items() if len(s) == 1 or c >= 2}
+    plus every character (guaranteed coverage), in order of first sight.
+    Probabilities start proportional to substring counts. Returned with the
+    words' ``_Lattice`` against it, from the same pass: each substring is
+    sliced once, counted by word frequency, and its (word, start, length)
+    becomes an arc where it is a seed piece."""
+    strings, freqs = list(word_counts), list(word_counts.values())
+    texts, string, start, length = _substrings(strings, MAX_PIECE_LEN)
+    distinct = list(dict.fromkeys(texts))  # in order of first sight
+    occ = np.fromiter(map(dict(zip(distinct, itertools.count())).__getitem__, texts),
+                      np.intp, len(texts))
+    # frequency-weighted counts: whole numbers, exact in float64
+    counts = np.bincount(occ, np.array(freqs, dtype=np.float64)[string]).astype(np.int64)
+    sizes = np.fromiter(map(len, distinct), np.intp, len(distinct))
+    kept = np.flatnonzero((sizes == 1) | (counts >= 2))
+    seed = dict(zip([distinct[k] for k in kept.tolist()], counts[kept].tolist()))
     total = sum(seed.values())
-    return {s: math.log(c / total) for s, c in seed.items()}
+    index = np.full(len(distinct), -1)
+    index[kept] = np.arange(len(kept))
+    piece = index[occ]
+    hit = piece >= 0
+    words = _Lattice([len(s) for s in strings], string[hit], start[hit], length[hit], piece[hit],
+                     len(seed), freqs)
+    return {s: math.log(c / total) for s, c in seed.items()}, words
 
 
 class _Lattice:
@@ -274,22 +305,13 @@ class _Lattice:
 
     @classmethod
     def of_strings(cls, strings, pieces: list[str], freqs=None) -> "_Lattice":
-        """Look every substring of ``strings`` up in ``pieces``."""
+        """Look every substring of ``strings`` up in ``pieces``, an inventory
+        of any shape; ``_seed_pieces`` builds the seed's lattice in its own
+        counting pass."""
         strings = list(strings)
         index = {p: k for k, p in enumerate(pieces)}
-        max_len = max(map(len, pieces))
-        spans = {}  # string length -> (slices, starts, lengths) of every substring
-        for n in {len(s) for s in strings}:
-            ij = [(i, j) for i in range(n) for j in range(i + 1, min(n, i + max_len) + 1)]
-            spans[n] = ([slice(i, j) for i, j in ij], np.array([i for i, _ in ij], dtype=np.intp),
-                        np.array([j - i for i, j in ij], dtype=np.intp))
-        per = [spans[len(s)] for s in strings]
-        piece = np.fromiter(itertools.chain.from_iterable(
-            map(index.get, map(s.__getitem__, sl), itertools.repeat(-1))
-            for s, (sl, _, _) in zip(strings, per)), dtype=np.intp)
-        string = np.repeat(np.arange(len(strings)), [len(sl) for sl, _, _ in per])
-        start = np.concatenate([i for _, i, _ in per])
-        length = np.concatenate([n for _, _, n in per])
+        texts, string, start, length = _substrings(strings, max(map(len, pieces)))
+        piece = np.fromiter(map(index.get, texts, itertools.repeat(-1)), np.intp, len(texts))
         hit = piece >= 0
         return cls([len(s) for s in strings], string[hit], start[hit], length[hit], piece[hit],
                    len(pieces), freqs)
@@ -383,15 +405,15 @@ class _Lattice:
 
 
 class _Fit:
-    """A unigram fit in progress over one lattice of the corpus words, built
-    once against the seed inventory. ``logp`` is indexed like the seed
-    pieces; pruning sets a piece to -inf and never drops a single character,
-    so every position keeps a live arc."""
+    """A unigram fit in progress over ``words``, the lattice of the corpus
+    words built once against the seed inventory. ``logp`` is indexed like
+    the seed pieces; pruning sets a piece to -inf and never drops a single
+    character, so every position keeps a live arc."""
 
-    def __init__(self, word_counts: Counter, seed: dict[str, float]):
+    def __init__(self, seed: dict[str, float], words: _Lattice):
         self.pieces = list(seed)
         self.logp = np.array(list(seed.values()))
-        self.words = _Lattice.of_strings(word_counts, self.pieces, list(word_counts.values()))
+        self.words = words
         self.parts = self.words.parts()
         self.multi = np.array([len(p) > 1 for p in self.pieces], dtype=bool)
         self.rank = np.empty(len(self.pieces), dtype=np.intp)  # order of the pieces as strings
@@ -459,7 +481,7 @@ def train_unigram(sentences, target_vocab: int, seed: int = 0,
             f"target vocab {target_vocab} cannot cover {len(alphabet)} characters plus {NUM_SPECIALS} specials")
     target_pieces = target_vocab - NUM_SPECIALS
 
-    fit = _Fit(word_counts, _seed_pieces(word_counts))
+    fit = _Fit(*_seed_pieces(word_counts))
     while True:
         for _ in range(EM_STEPS):
             fit.em_step()

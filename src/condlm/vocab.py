@@ -174,10 +174,12 @@ def build_label_vocabs(records) -> LabelVocabs:
     (title tokens included)."""
     pos, dep, ent = set(), set(), set()
     for rec in records:
-        for tok in rec.all_tokens():
-            pos.add(tok.pos)
-            dep.add(tok.dep)
-            ent.add(tok.ent)
+        for tokens in (rec.title, *rec.sentences):
+            if tokens:  # one zip splits a token list's labels by kind
+                _, p, d, e = zip(*tokens)
+                pos.update(p)
+                dep.update(d)
+                ent.update(e)
     return LabelVocabs(
         _build_label_vocab("pos", pos),
         _build_label_vocab("dep", dep),

@@ -7,9 +7,10 @@ normalized TF-IDF vectors instead of the cancelled form, recursive LCS, a
 fully exhaustive METEOR alignment search, LAMB one tensor at a time
 instead of over the flat arena, and attention and layer-norm gradients row
 by row through explicit Jacobians instead of the closed forms. Slow on
-purpose; inputs stay tiny. The sampler's two masks and the decode step
-that looks its parameters up by name are the versions the library's own
-replaced, kept to hold those to the same bits.
+purpose; inputs stay tiny. The sampler's two masks, the decode step that
+looks its parameters up by name, and the prep path's document-frequency
+counter and writer, token parser and seed counter are the versions the
+library's own replaced, kept to hold those to the same bits.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 
 from condlm import autodiff as ad
 from condlm.model import causal_mask, positional_encoding
+from condlm.textio import write_atomic
 from condlm.tokenizer import _segment
 
 
@@ -173,7 +175,59 @@ def o_cider(candidate, references, df_lookup, doc_count, title=None, scale=10.0)
     return (scale / 4.0) * total
 
 
+# --- Prep path ----------------------------------------------------------------
+# The versions the library's own replaced: one dict update per gram, tuples
+# sorted before they are formatted, one write part per row, and a token
+# parsed through a generator.
+
+def o_build_df(token_docs, max_order):
+    """(document count, per-order {gram tuple: documents}), empty orders dropped."""
+    df = {n: {} for n in range(1, max_order + 1)}
+    count = 0
+    for doc in token_docs:
+        count += 1
+        for n in range(1, max_order + 1):
+            for gram in set(grams(doc, n)):
+                df[n][gram] = df[n].get(gram, 0) + 1
+    return count, {n: d for n, d in df.items() if d}
+
+
+def o_save_df(doc_count, df, path):
+    def lines():
+        yield f"#documents\t{doc_count}\n"
+        for n in sorted(df):
+            for gram, c in sorted(df[n].items()):
+                yield f"{' '.join(gram)}\t{c}\n"
+    write_atomic(path, lines())
+
+
+def o_parse_tokens(raw):
+    """A record's token list as (surface lowercased, pos, dep, ent) tuples."""
+    toks = []
+    for item in raw:
+        if not isinstance(item, (list, tuple)) or len(item) != 4:
+            raise ValueError(f"token entry {item!r} is not a 4-tuple")
+        surface, pos, dep, ent = (str(x) for x in item)
+        if not surface:
+            raise ValueError("empty token surface")
+        toks.append((surface.lower(), pos, dep, ent))
+    return tuple(toks)
+
+
 # --- Unigram EM --------------------------------------------------------------
+
+def o_seed_pieces(word_counts, max_len):
+    """The seed inventory counted substring by substring into a Counter."""
+    sub_counts = Counter()
+    for word, freq in word_counts.items():
+        n = len(word)
+        for i in range(n):
+            for j in range(i + 1, min(n, i + max_len) + 1):
+                sub_counts[word[i:j]] += freq
+    seed = {s: c for s, c in sub_counts.items() if len(s) == 1 or c >= 2}
+    total = sum(seed.values())
+    return {s: math.log(c / total) for s, c in seed.items()}
+
 
 def o_segmentations(word, pieces):
     if not word:

@@ -10,6 +10,7 @@ from condlm.tokenizer import END_ID, START_ID, TokenizerModel
 from condlm.vocab import build_condition_vocab, build_label_vocabs
 
 from conftest import write_jsonl
+from oracles import o_parse_tokens
 
 
 def doc(rid="d0", year=2000, keywords=(), title="the assay", sentences=("the assay runs",)):
@@ -80,6 +81,42 @@ def test_load_empty_file_yields_nothing(tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_text("")
     assert list(cp.load_records(path)) == []
+
+
+def assert_records_equal_oracle_parse(path):
+    objs = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    records = list(cp.load_records(path, strict=True))
+    assert len(records) == len(objs)
+    for rec, obj in zip(records, objs):
+        assert rec.title == o_parse_tokens(obj["title"])
+        assert rec.sentences == tuple(o_parse_tokens(s) for s in obj["sentences"])
+        assert all(type(t) is cp.AnnotatedToken for t in rec.all_tokens())
+        assert rec.title_text() == " ".join(t[0] for t in o_parse_tokens(obj["title"]))
+        assert rec.sentence_texts() == [" ".join(t[0] for t in o_parse_tokens(s))
+                                        for s in obj["sentences"]]
+
+
+def test_load_records_equals_the_oracle_parse_on_the_toy_corpus(toy_path):
+    assert_records_equal_oracle_parse(toy_path)
+
+
+def test_load_records_equals_the_oracle_parse_on_a_generated_corpus(tmp_path):
+    # mixed case, non-ASCII surfaces, and label fields that are JSON numbers
+    rng = np.random.default_rng(0)
+    words = ["Assay", "ß", "İnhibits", "é1", "x_2", "CD4", "p53", "7", "-", "(", "ΔNp63"]
+    labels = ["NOUN", "VERB", "nsubj", "root", "<none>", "GENE", 3, 0.5, True]
+
+    def token():
+        return [str(rng.choice(words)), *(labels[i] for i in rng.integers(len(labels), size=3))]
+
+    docs = [{"id": f"d{i}", "year": 1990 + i % 30, "keywords": ["kw"],
+             "title": [token() for _ in range(rng.integers(1, 6))],
+             "sentences": [[token() for _ in range(rng.integers(1, 12))]
+                           for _ in range(rng.integers(1, 5))]}
+            for i in range(200)]
+    path = tmp_path / "c.jsonl"
+    write_jsonl(path, docs)
+    assert_records_equal_oracle_parse(path)
 
 
 # --- subword stream and windows ---------------------------------------------------

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from condlm import metrics as mt
 from condlm.errors import DataError
 
-from oracles import (o_bleu, o_bleu_geometric, o_cider, o_meteor,
-                     o_meteor_alignment, o_rouge_l)
+from oracles import (o_bleu, o_bleu_geometric, o_build_df, o_cider, o_meteor,
+                     o_meteor_alignment, o_rouge_l, o_save_df)
 
 T = str.split  # tests write token lists as plain strings
 
@@ -263,6 +263,42 @@ def test_df_build_save_load(tmp_path):
     bad.write_text("nope\n")
     with pytest.raises(DataError):
         mt.load_df(bad)
+
+
+# Words whose tokens test the df writer's text sort: characters below the
+# space and the tab (U+001F is whitespace, and splits), the underscore,
+# digits, non-ASCII letters, a capital whose lowercase ends in a combining
+# mark, words that are prefixes of others, and punctuation. Words are glued
+# to their neighbours at random, which makes longer mixed words.
+_DF_WORDS = ["a", "ab", "abc", "ab_", "ab1", "b", "_", "__", "0", "01", "1", "é", "éa", "ß",
+             "ßa", "İ", "İa", "\x00", "\x01", "\x1f", "\x7f", ".", ",", "-", "~", "ab.c", "a-b"]
+
+
+@pytest.mark.parametrize("rows_per_part", [3, mt._DF_PART_ROWS])
+def test_df_equals_the_oracle_on_adversarial_tokens(tmp_path, monkeypatch, rows_per_part):
+    monkeypatch.setattr(mt, "_DF_PART_ROWS", rows_per_part)
+    for seed in range(300):
+        rng = random.Random(seed)
+        docs = [mt.tokenize("".join(rng.choice(_DF_WORDS) + rng.choice(["", " ", " "])
+                                    for _ in range(rng.randint(0, 14))))
+                for _ in range(rng.randint(1, 12))]
+        df = mt.build_df(docs)
+        count, want = o_build_df(docs, mt.MAX_ORDER)
+        assert df == mt.DfCorpus(count, want)
+        mt.save_df(df, tmp_path / "df.tsv")
+        o_save_df(count, want, tmp_path / "oracle.tsv")
+        assert (tmp_path / "df.tsv").read_bytes() == (tmp_path / "oracle.tsv").read_bytes()
+
+
+def test_df_rows_span_write_parts_in_order(tmp_path):
+    # more distinct unigrams than one part holds
+    words = [f"w{i}" for i in range(2 * mt._DF_PART_ROWS + 5)]
+    docs = [words[::-1], words[::3]]
+    df = mt.build_df(docs)
+    mt.save_df(df, tmp_path / "df.tsv")
+    o_save_df(*o_build_df(docs, mt.MAX_ORDER), tmp_path / "oracle.tsv")
+    assert (tmp_path / "df.tsv").read_bytes() == (tmp_path / "oracle.tsv").read_bytes()
+    assert mt.load_df(tmp_path / "df.tsv") == df
 
 
 @pytest.mark.parametrize("text,line,message", [

@@ -95,3 +95,36 @@ def test_a_failed_write_names_the_target(tmp_path):
         write_atomic(path, parts())
     assert info.value.errno == errno.ENOSPC and info.value.filename == str(path)
     assert not path.exists() and leftovers(tmp_path) == []
+
+
+def test_the_directory_is_fsynced_after_the_rename(tmp_path, monkeypatch):
+    path = tmp_path / "df.tsv"
+    path.write_text("old\n")
+    synced = []  # (is a directory, inode, the target's contents) per fsync
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        st = os.fstat(fd)
+        synced.append((stat.S_ISDIR(st.st_mode), st.st_ino, path.read_text()))
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    write_atomic(path, ["new\n"])
+    assert [(d, text) for d, _, text in synced] == [(False, "old\n"), (True, "new\n")]
+    assert synced[1][1] == os.stat(tmp_path).st_ino
+
+
+def test_a_failed_directory_fsync_names_the_target(tmp_path, monkeypatch):
+    path = tmp_path / "tokenizer.tsv"
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        if stat.S_ISDIR(os.fstat(fd).st_mode):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    with pytest.raises(OSError) as info:
+        write_atomic(path, ["row\n"])
+    assert info.value.errno == errno.EIO and info.value.filename == str(path)
+    assert path.read_text() == "row\n" and leftovers(tmp_path) == []  # the rename was done

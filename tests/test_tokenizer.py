@@ -11,7 +11,7 @@ from condlm import tokenizer as tk
 from condlm.errors import DataError
 
 from oracles import (o_best_segmentation_score, o_em_step, o_em_step_numpy, o_fit, o_prune,
-                     o_segmentations)
+                     o_seed_pieces, o_segmentations)
 
 # Hand lattice: P(▁)=1 (normalization aside), the interesting mass is on
 # splitting "ab" as one piece vs two.
@@ -155,7 +155,7 @@ def em_corpus():
 
 def test_em_step_matches_enumeration_oracle():
     counts = em_corpus()
-    fit = tk._Fit(counts, tk._seed_pieces(counts))
+    fit = tk._Fit(*tk._seed_pieces(counts))
     oracle = fit.inventory()
     for _ in range(3):
         ll = fit.em_step()
@@ -167,9 +167,14 @@ def test_em_step_matches_enumeration_oracle():
             assert pieces[p] == pytest.approx(oracle[p], abs=1e-9)
 
 
+def fit_of(inventory, counts):
+    """A fit that starts from ``inventory`` rather than the seed."""
+    return tk._Fit(inventory, tk._Lattice.of_strings(counts, list(inventory), list(counts.values())))
+
+
 def _assert_em_steps_match_numpy_oracle(pieces, counts, steps):
     # one lattice, built against the first inventory, serves every step
-    fit = tk._Fit(counts, pieces)
+    fit = fit_of(pieces, counts)
     oracle = dict(pieces)
     for _ in range(steps):
         ll = fit.em_step()
@@ -179,12 +184,12 @@ def _assert_em_steps_match_numpy_oracle(pieces, counts, steps):
 
 def test_em_step_equals_numpy_oracle_on_toy_corpus(toy_records):
     counts = word_counts(toy_sentences(toy_records))
-    _assert_em_steps_match_numpy_oracle(tk._seed_pieces(counts), counts, 4)
+    _assert_em_steps_match_numpy_oracle(tk._seed_pieces(counts)[0], counts, 4)
 
 
 def test_em_step_equals_numpy_oracle_on_seeded_corpus():
     counts = word_counts(seeded_sentences(3))
-    _assert_em_steps_match_numpy_oracle(tk._seed_pieces(counts), counts, 3)
+    _assert_em_steps_match_numpy_oracle(tk._seed_pieces(counts)[0], counts, 3)
 
 
 def test_em_step_equals_numpy_oracle_with_unknown_characters():
@@ -230,7 +235,7 @@ def test_logaddexp_equals_numpy():
 
 def test_em_loglik_is_monotone():
     counts = em_corpus()
-    fit = tk._Fit(counts, tk._seed_pieces(counts))
+    fit = tk._Fit(*tk._seed_pieces(counts))
     lls = [fit.em_step() for _ in range(6)]
     for a, b in zip(lls, lls[1:]):
         assert b >= a - 1e-9
@@ -293,7 +298,7 @@ def test_parts_hold_each_pieces_lattice_without_itself():
                           for _ in range(20)})
         inventory = {"".join(rng.choice(list("ab▁c"), size=rng.integers(1, 6))): -1.0
                      for _ in range(25)}
-        fit = tk._Fit(counts, inventory)
+        fit = fit_of(inventory, counts)
         parts = fit.parts
         for row, k in enumerate(parts.rows.tolist()):
             piece = fit.pieces[k]
@@ -330,7 +335,7 @@ def test_best_counts_and_scores_equal_segment_under_ties():
 
 
 def _assert_prunes_match_oracle(counts, target_pieces):
-    fit = tk._Fit(counts, tk._seed_pieces(counts))
+    fit = tk._Fit(*tk._seed_pieces(counts))
     rounds = 0
     while True:
         for _ in range(tk.EM_STEPS):
@@ -359,18 +364,36 @@ def test_fit_equals_oracle_fit(corpus, toy_records):
         sentences, target_vocab = seeded_sentences(11), 124
     counts = word_counts(sentences)
     model = tk.train_unigram(sentences, target_vocab)
-    oracle = o_fit(tk._seed_pieces(counts), counts, target_vocab - tk.NUM_SPECIALS)
+    oracle = o_fit(o_seed_pieces(counts, tk.MAX_PIECE_LEN), counts, target_vocab - tk.NUM_SPECIALS)
     assert model.pieces == oracle
     assert model.piece_of == tk.TokenizerModel(oracle).piece_of
 
 
+def test_seed_pieces_equal_the_counter_seed_and_carry_its_lattice(toy_records):
+    # the same pieces in the same (first seen) order with the same log-probs,
+    # and the lattice that looking the words up in them builds
+    corpora = [word_counts(toy_sentences(toy_records)), word_counts(seeded_sentences(7))]
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        corpora.append(Counter({tk.MARKER + "".join(rng.choice(list("abcz"), size=rng.integers(1, 12))):
+                                int(rng.integers(1, 5)) for _ in range(30)}))
+    for counts in corpora:
+        seed, words = tk._seed_pieces(counts)
+        want = o_seed_pieces(counts, tk.MAX_PIECE_LEN)
+        assert list(seed.items()) == list(want.items())
+        looked_up = tk._Lattice.of_strings(counts, list(want), list(counts.values()))
+        for name in ("src", "dst", "piece", "string", "freq", "first", "last"):
+            assert np.array_equal(getattr(words, name), getattr(looked_up, name)), name
+        assert words.n_pieces == len(want) and words.n_nodes == looked_up.n_nodes
+
+
 def test_seed_pieces_coverage_and_frequency_threshold():
     counts = Counter({"▁xyz": 1})
-    seed = tk._seed_pieces(counts)
+    seed, _ = tk._seed_pieces(counts)
     # singleton multi-char substrings are excluded, chars always kept
     assert set(seed) == {"▁", "x", "y", "z"}
     counts = Counter({"▁xy": 2})
-    seed = tk._seed_pieces(counts)
+    seed, _ = tk._seed_pieces(counts)
     assert "▁xy" in seed and "xy" in seed and "▁x" in seed
 
 

@@ -150,7 +150,8 @@ def test_label_vocabs_reserve_no_label():
             "a", 2000, (),
             (AnnotatedToken("title", "NOUN", "root", "GENE"),),
             ((AnnotatedToken("body", "VERB", "dobj", NO_LABEL),),),
-        )
+        ),
+        AnnotatedRecord("b", 2000, (), (), ((),)),  # an empty title and sentence
     ]
     vs = build_label_vocabs(records)
     for lv in (vs.pos, vs.dep, vs.ent):
