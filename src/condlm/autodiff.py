@@ -8,9 +8,11 @@ accumulate additively (in place, when ``zero_grad`` has bound them to
 views of one flat buffer), so repeated ``backward`` calls without
 ``zero_grad`` sum their contributions.
 
-Attention, and a residual add with its layer norm, are one node each
-(``attention``, ``add_norm``). Their forwards run the plain-array kernels
-``attend`` and ``normalize``, which graph-free decoding calls too.
+Attention over all heads, with the split into heads and the merge back,
+is one node (``attention``), and so are a residual add with its layer norm
+(``add_norm``) and a masked mean cross-entropy (``cross_entropy``). The
+first two run the plain-array kernels ``to_heads``, ``attend``,
+``from_heads`` and ``normalize``, which graph-free decoding calls too.
 
 Two precisions are supported and chosen by the arrays you put in:
 float64 ("wide") for oracles and gradient checks, float32 ("narrow") for
@@ -162,19 +164,6 @@ def mul(a, b) -> Tensor:
     return _node(out_data, (a, b), bw)
 
 
-def scale(a, s: float) -> Tensor:
-    """Multiply by a python scalar."""
-    a = _as_tensor(a)
-    s = float(s)
-    out_data = a.data * s
-
-    def bw(g):
-        if a.requires_grad:
-            a.accumulate(g * s)
-
-    return _node(out_data, (a,), bw)
-
-
 def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
     out_data = a.data.reshape(shape)
@@ -186,43 +175,14 @@ def reshape(a, shape) -> Tensor:
     return _node(out_data, (a,), bw)
 
 
-def split_heads(a, heads: int) -> Tensor:
-    """(..., T, heads * w) -> (..., heads, T, w): one reshape and one
-    transpose, returned as a view. ``merge_heads`` is its inverse."""
-    a = _as_tensor(a)
-    d = a.data.shape[-1]
-    if a.data.ndim < 2 or heads < 1 or d % heads:
-        raise ValueError(f"split_heads: shape {a.data.shape} does not split into {heads} heads")
-
-    def bw(g):
-        if a.requires_grad:
-            a.accumulate(from_heads(g))
-
-    return _node(to_heads(a.data, heads), (a,), bw)
-
-
-def merge_heads(a) -> Tensor:
-    """(..., heads, T, w) -> (..., T, heads * w), the inverse of
-    ``split_heads``."""
-    a = _as_tensor(a)
-    if a.data.ndim < 3:
-        raise ValueError(f"merge_heads needs a (..., heads, T, w) operand, got {a.data.shape}")
-    heads = a.data.shape[-3]
-
-    def bw(g):
-        if a.requires_grad:
-            a.accumulate(to_heads(g, heads))
-
-    return _node(from_heads(a.data), (a,), bw)
-
-
 def to_heads(x: np.ndarray, heads: int) -> np.ndarray:
-    """The array form of ``split_heads``: a view, no copy."""
+    """(..., T, heads * w) -> (..., heads, T, w): one reshape and one
+    transpose, returned as a view. ``from_heads`` is its inverse."""
     return x.reshape(x.shape[:-1] + (heads, x.shape[-1] // heads)).swapaxes(-2, -3)
 
 
 def from_heads(x: np.ndarray) -> np.ndarray:
-    """The array form of ``merge_heads``."""
+    """(..., heads, T, w) -> (..., T, heads * w), a copy."""
     s = x.shape
     return x.swapaxes(-2, -3).reshape(s[:-3] + (s[-2], s[-3] * s[-1]))
 
@@ -299,30 +259,38 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     return p @ v, p
 
 
-def attention(q, k, v, mask: np.ndarray | None = None) -> Tensor:
-    """``attend`` as one graph node, which keeps only the probabilities P
-    for its closed-form backward. NaN or +inf scores, and rows whose every
-    key is masked, are errors: each leaves NaN in P."""
+def attention(q, k, v, heads: int, mask: np.ndarray | None = None) -> Tensor:
+    """``attend`` over ``heads`` heads as one graph node. q, k and v are
+    (..., T, heads * w) projections; the node splits them with ``to_heads``
+    and merges the heads' outputs with ``from_heads``, in its forward and
+    its backward, and keeps only the probabilities P for its closed-form
+    backward. NaN or +inf scores, and rows whose every key is masked, are
+    errors: each leaves NaN in P."""
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    for t in (q, k, v):
+        if t.data.ndim < 2 or heads < 1 or t.data.shape[-1] % heads:
+            raise ValueError(f"attention: shape {t.data.shape} does not split into {heads} heads")
+    qh, kh, vh = (to_heads(t.data, heads) for t in (q, k, v))
     with np.errstate(invalid="ignore"):  # inf - inf is refused just below
-        out_data, p = attend(q.data, k.data, v.data, mask)
+        out_data, p = attend(qh, kh, vh, mask)
     if np.isnan(p).any():
         raise ValueError("attention scores contain NaN or +inf, or a fully masked row")
-    s = 1.0 / math.sqrt(q.data.shape[-1])
+    s = 1.0 / math.sqrt(qh.shape[-1])
 
     def bw(g):
+        g = to_heads(g, heads)
         if v.requires_grad:
-            v.accumulate(_sum_to_shape(p.swapaxes(-1, -2) @ g, v.data.shape))
+            v.accumulate(from_heads(_sum_to_shape(p.swapaxes(-1, -2) @ g, vh.shape)))
         if q.requires_grad or k.requires_grad:
-            dp = g @ v.data.swapaxes(-1, -2)
+            dp = g @ vh.swapaxes(-1, -2)
             ds = p * (dp - np.add.reduce(dp * p, axis=-1, keepdims=True)) * s
             if q.requires_grad:
-                q.accumulate(_sum_to_shape(ds @ k.data, q.data.shape))
+                q.accumulate(from_heads(_sum_to_shape(ds @ kh, qh.shape)))
             if k.requires_grad:
-                dk = (q.data.swapaxes(-1, -2) @ ds).swapaxes(-1, -2)
-                k.accumulate(_sum_to_shape(dk, k.data.shape))
+                dk = (qh.swapaxes(-1, -2) @ ds).swapaxes(-1, -2)
+                k.accumulate(from_heads(_sum_to_shape(dk, kh.shape)))
 
-    return _node(out_data, (q, k, v), bw)
+    return _node(from_heads(out_data), (q, k, v), bw)
 
 
 def normalize(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
@@ -364,30 +332,36 @@ def add_norm(a, b, gain: Tensor, bias: Tensor) -> Tensor:
     return _node(out_data, (a, b, gain, bias), bw)
 
 
-def cross_entropy_logits(logits: Tensor, labels) -> Tensor:
-    """Per-position -log softmax(logits)[label]; labels is an int array."""
+def cross_entropy(logits, labels, mask: np.ndarray) -> Tensor:
+    """Mean of -log softmax(logits)[label] over the positions where
+    ``mask`` is 1, as one node. ``labels`` is an int array and ``mask`` a
+    0/1 array, both shaped like ``logits`` without its class axis."""
     logits = _as_tensor(logits)
-    labels = np.asarray(labels)
+    labels, mask = np.asarray(labels), np.asarray(mask)
     if not np.issubdtype(labels.dtype, np.integer):
         raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
-    v = logits.data.shape[-1]
-    if labels.shape != logits.data.shape[:-1]:
-        raise ValueError(f"labels shape {labels.shape} does not match logits {logits.data.shape}")
-    if labels.size and (labels.min() < 0 or labels.max() >= v):
-        bad = int(labels.min()) if labels.min() < 0 else int(labels.max())
-        raise ValueError(f"label {bad} out of range for {v} classes")
     x = logits.data
+    n = x.shape[-1]
+    if labels.shape != x.shape[:-1] or mask.shape != labels.shape:
+        raise ValueError(f"labels {labels.shape} and mask {mask.shape} do not match logits {x.shape}")
+    if labels.size and (labels.min() < 0 or labels.max() >= n):
+        bad = int(labels.min()) if labels.min() < 0 else int(labels.max())
+        raise ValueError(f"label {bad} out of range for {n} classes")
+    total = float(mask.sum())
+    if total <= 0:
+        raise ValueError("cross_entropy over an empty mask")
+    s = 1.0 / total
+    weight = mask.astype(x.dtype)
     m = np.max(x, axis=-1, keepdims=True)
     lse = m + np.log(np.exp(x - m).sum(axis=-1, keepdims=True))
     picked = np.take_along_axis(x, labels[..., None], axis=-1)
-    out_data = (lse - picked)[..., 0]
+    out_data = np.asarray(((lse - picked)[..., 0] * weight).sum(), dtype=x.dtype) * s
 
     def bw(g):
         if logits.requires_grad:
-            p = np.exp(x - lse)
-            onehot = np.zeros_like(x)
-            np.put_along_axis(onehot, labels[..., None], 1.0, axis=-1)
-            logits.accumulate((p - onehot) * g[..., None])
+            p = np.exp(x - lse)  # softmax, minus 1 at each label: p - one-hot
+            p.reshape(-1, n)[np.arange(labels.size), labels.ravel()] -= 1
+            logits.accumulate(p * (np.array(g * s, dtype=x.dtype) * weight)[..., None])
 
     return _node(out_data, (logits,), bw)
 
@@ -402,15 +376,6 @@ def tensor_sum(a) -> Tensor:
             a.accumulate(np.broadcast_to(g, a.data.shape))
 
     return _node(out_data, (a,), bw)
-
-
-def masked_mean(x, mask: np.ndarray) -> Tensor:
-    """Mean of x over entries where mask == 1."""
-    mask = np.asarray(mask)
-    total = float(mask.sum())
-    if total <= 0:
-        raise ValueError("masked_mean over an empty mask")
-    return scale(tensor_sum(mul(x, constant(mask.astype(_as_tensor(x).data.dtype)))), 1.0 / total)
 
 
 def backward(loss: Tensor) -> None:

@@ -69,7 +69,10 @@ def sample_next(logits: np.ndarray, temperature: float, rng: np.random.Generator
         raise ValueError("sampling from non-finite logits")
     if temperature == 0.0:
         return int(np.argmax(logits)), 1.0
-    z = logits / temperature
+    with np.errstate(over="ignore"):
+        z = logits / temperature
+        if not np.isfinite(z).all():  # a tiny temperature overflows: shift first
+            z = (logits - logits.max()) / temperature
     z -= z.max()
     probs = np.exp(z)
     probs /= probs.sum()

@@ -428,6 +428,8 @@ def load_df(path) -> DfCorpus:
         fields = line.split("\t")
         try:
             if lineno == 1:
+                if len(fields) != 2:
+                    raise ValueError(f"expected #documents<TAB>count, got {line!r}")
                 doc_count = int(fields[1])
                 if doc_count < 1:
                     raise ValueError(f"document count {doc_count} is below 1")
@@ -438,7 +440,11 @@ def load_df(path) -> DfCorpus:
                 # build_df counts each document once per gram
                 if not 1 <= count <= doc_count:
                     raise ValueError(f"count {count} outside [1, {doc_count}] documents")
-                df.setdefault(len(gram), {})[gram] = count
+                table = df.setdefault(len(gram), {})
+                if gram in table:
+                    first = next(n for n, text in lines[1:] if text.split("\t")[0] == fields[0])
+                    raise ValueError(f"gram {fields[0]!r} repeats line {first}")
+                table[gram] = count
         except ValueError as e:
             raise DataError(f"{path}:{lineno}: {e}") from None
     return DfCorpus(doc_count, df)

@@ -15,9 +15,10 @@ Attention/feed-forward projections carry no biases; LayerNorm provides the
 affine parameters.
 
 Attention computes all heads at once from fused (d, d) query, key and
-value projections, split into heads by one reshape and transpose. The
-attention core is one ``ad.attention`` node, and each residual add with
-its LayerNorm one ``ad.add_norm`` node.
+value projections. The attention core, with the split into heads and the
+merge back, is one ``ad.attention`` node, each residual add with its
+LayerNorm one ``ad.add_norm`` node, and each head's masked mean
+cross-entropy one ``ad.cross_entropy`` node.
 
 ``forward`` is the training and evaluation path. Decoding one token at a
 time passes it a ``DecodeCache``, whose ``step`` runs the model up to the
@@ -184,14 +185,14 @@ def positional_encoding(n: int, d_model: int, dtype=ad.WIDE) -> np.ndarray:
 
 def multi_head(params: ModelParameters, prefix: str, x: Tensor, y: Tensor,
                mask: np.ndarray | None = None) -> Tensor:
-    """All heads of one attention block at once, projected by ``out``.
-    Queries come from ``x``, keys and values from ``y``; self-attention
-    passes the same tensor for both."""
-    heads = params.config.heads
-    k = ad.split_heads(ad.matmul(y, params[f"{prefix}.k"]), heads)
-    v = ad.split_heads(ad.matmul(y, params[f"{prefix}.v"]), heads)
-    q = ad.split_heads(ad.matmul(x, params[f"{prefix}.q"]), heads)
-    return ad.matmul(ad.merge_heads(ad.attention(q, k, v, mask)), params[f"{prefix}.out"])
+    """All heads of one attention block at once: the k, v and q products,
+    one ``ad.attention`` node, which splits and merges the heads itself,
+    and the ``out`` product. Queries come from ``x``, keys and values from
+    ``y``; self-attention passes the same tensor for both."""
+    k = ad.matmul(y, params[f"{prefix}.k"])
+    v = ad.matmul(y, params[f"{prefix}.v"])
+    q = ad.matmul(x, params[f"{prefix}.q"])
+    return ad.matmul(ad.attention(q, k, v, params.config.heads, mask), params[f"{prefix}.out"])
 
 
 def feed_forward(params: ModelParameters, prefix: str, x: Tensor) -> Tensor:
@@ -401,11 +402,9 @@ def loss(output: ForwardOutput, target_ids, target_pos, target_dep, target_ent,
         mask = np.ones(np.asarray(target_ids).shape, dtype=np.float64)
     if mask.sum() <= 0:
         raise ValueError("loss over a fully padded batch")
-    parts = {
-        "token": ad.masked_mean(ad.cross_entropy_logits(output.token_logits, target_ids), mask),
-        "pos": ad.masked_mean(ad.cross_entropy_logits(output.pos_logits, target_pos), mask),
-        "dep": ad.masked_mean(ad.cross_entropy_logits(output.dep_logits, target_dep), mask),
-        "ent": ad.masked_mean(ad.cross_entropy_logits(output.ent_logits, target_ent), mask),
-    }
-    total = ad.add(ad.add(parts["token"], parts["pos"]), ad.add(parts["dep"], parts["ent"]))
-    return LossResult(total, *(float(parts[k].data) for k in ("token", "pos", "dep", "ent")))
+    token, pos, dep, ent = (
+        ad.cross_entropy(logits, labels, mask) for logits, labels in (
+            (output.token_logits, target_ids), (output.pos_logits, target_pos),
+            (output.dep_logits, target_dep), (output.ent_logits, target_ent)))
+    total = ad.add(ad.add(token, pos), ad.add(dep, ent))
+    return LossResult(total, *(float(part.data) for part in (token, pos, dep, ent)))

@@ -236,6 +236,8 @@ def load_checkpoint(path, expect_hash: str | None = None) -> Checkpoint:
         model_cfg.validate()
         train_cfg = TrainConfig(**manifest["train_config"])
         stored_hash, step, dtype = manifest["config_hash"], manifest["step"], manifest["dtype"]
+        if isinstance(step, bool) or not isinstance(step, int) or step < 0:
+            raise TypeError(f"step is {step!r}, not a non-negative integer")
         rng = np.random.default_rng(0)
         rng.bit_generator.state = manifest["rng_state"]
         if not isinstance(manifest["moments"], bool):

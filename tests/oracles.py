@@ -399,6 +399,29 @@ def o_attention_grads(q, k, v, mask, g):
     return dq, dk, dv
 
 
+def o_cross_entropy(logits, labels, mask, g=None):
+    """The masked mean cross-entropy as the chain of nodes it replaced, in
+    their order and dtype: per-position -log softmax, then ``* mask``, then
+    ``.sum()``, then ``* (1 / total)``; and the logits gradient that chain's
+    backward gave for the upstream gradient ``g`` (a 0-d array of the
+    logits' dtype, 1 by default), through a one-hot array. Returns
+    (value, d_logits)."""
+    dtype = logits.dtype
+    g = np.ones((), dtype) if g is None else g
+    m = np.max(logits, axis=-1, keepdims=True)
+    lse = m + np.log(np.exp(logits - m).sum(axis=-1, keepdims=True))
+    picked = np.take_along_axis(logits, labels[..., None], axis=-1)
+    ce = (lse - picked)[..., 0]
+    weight = mask.astype(dtype)
+    s = float(1.0 / float(mask.sum()))
+    value = np.asarray((ce * weight).sum(), dtype=dtype) * s
+    g_sum = np.array(g * s, dtype=dtype)                                # scale
+    g_ce = np.array(np.broadcast_to(g_sum, ce.shape), dtype=dtype) * weight  # sum, mul
+    onehot = np.zeros_like(logits)
+    np.put_along_axis(onehot, labels[..., None], 1.0, axis=-1)
+    return value, (np.exp(logits - lse) - onehot) * g_ce[..., None]
+
+
 def o_add_norm_grads(a, b, gain, g, eps=1e-5):
     """Gradients of sum(g * (gain * layer_norm(a + b) + bias)) for 2-d
     float64 rows, one row at a time through the Jacobian of the normalized

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from condlm import autodiff as ad
-from oracles import o_add_norm_grads, o_attention_grads, o_normalize
+from oracles import o_add_norm_grads, o_attention_grads, o_cross_entropy, o_normalize
 
 
 def _fd(f, params, **kw):
@@ -49,7 +50,7 @@ def test_softmax_masked_entries_get_zero_weight():
     assert p[0, 1] == 0.0
     np.testing.assert_allclose(p.sum(), 1.0, atol=1e-12)
     np.testing.assert_allclose(out, p[:, [0, 2]] @ v[[0, 2]], atol=1e-12)
-    node = ad.attention(ad.constant(q), ad.constant(k), ad.constant(v), mask)
+    node = ad.attention(ad.constant(q), ad.constant(k), ad.constant(v), 1, mask)
     np.testing.assert_array_equal(node.data, out)
 
 
@@ -62,32 +63,54 @@ def test_softmax_rejects_nan_and_posinf_and_full_mask():
         with np.errstate(invalid="ignore"):
             assert np.isnan(ad.attend(q, k, v, mask)[1]).any()
         with pytest.raises(ValueError, match=r"NaN or \+inf, or a fully masked row"):
-            ad.attention(ad.parameter(q), ad.parameter(k), ad.parameter(v), mask)
+            ad.attention(ad.parameter(q), ad.parameter(k), ad.parameter(v), 1, mask)
 
 
 def test_cross_entropy_value():
     # logits [2,0,0], true class 0: loss = -log(e^2 / (e^2 + 2))
     logits = ad.constant(np.array([[2.0, 0.0, 0.0]]))
-    loss = ad.cross_entropy_logits(logits, np.array([0]))
+    loss = ad.cross_entropy(logits, np.array([0]), np.ones(1))
+    assert loss.data.shape == ()
     expected = -math.log(math.exp(2.0) / (math.exp(2.0) + 2.0))
-    np.testing.assert_allclose(loss.data[0], expected, atol=1e-12)
+    np.testing.assert_allclose(loss.data, expected, atol=1e-12)
 
 
 def test_cross_entropy_uniform_is_log_vocab():
     v = 17
     logits = ad.constant(np.zeros((4, v)))
-    loss = ad.cross_entropy_logits(logits, np.zeros(4, dtype=np.int64))
+    loss = ad.cross_entropy(logits, np.zeros(4, dtype=np.int64), np.ones(4))
     np.testing.assert_allclose(loss.data, math.log(v), atol=1e-12)
 
 
 def test_cross_entropy_rejects_bad_labels():
     logits = ad.constant(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        ad.cross_entropy_logits(logits, np.array([0, 3]))
-    with pytest.raises(ValueError):
-        ad.cross_entropy_logits(logits, np.array([-1, 0]))
-    with pytest.raises(ValueError):
-        ad.cross_entropy_logits(logits, np.array([0.5, 1.0]))
+    for labels in ([0, 3], [-1, 0], [0.5, 1.0]):
+        with pytest.raises(ValueError, match="label"):
+            ad.cross_entropy(logits, np.array(labels), np.ones(2))
+    for mask in (np.ones(3), np.ones((1, 2))):
+        with pytest.raises(ValueError, match="do not match"):
+            ad.cross_entropy(logits, np.array([0, 1]), mask)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_cross_entropy_equals_the_chain_it_replaced(dtype):
+    # value and logits gradient equal, bit for bit, per-position CE, * mask,
+    # .sum() and * (1 / total) with their backward through a one-hot array
+    rng = np.random.default_rng(13)
+    for shape, n in (((7,), 5), ((3, 6), 11), ((2, 4, 5), 9)):
+        x = (rng.normal(size=(*shape, n)) * 3).astype(dtype)
+        labels = rng.integers(0, n, size=shape)
+        mask = (rng.random(shape) < 0.7).astype(np.float64)
+        mask.flat[0] = 1.0
+        for up in (None, rng.normal()):
+            logits = ad.parameter(x.copy())
+            loss = ad.cross_entropy(logits, labels, mask)
+            root = loss if up is None else ad.mul(loss, ad.constant(np.asarray(up, dtype)))
+            ad.backward(root)
+            g = None if up is None else np.array(up, dtype)
+            want, d_logits = o_cross_entropy(x, labels, mask, g)
+            assert loss.data.dtype == dtype and loss.data == want
+            assert logits.grad.dtype == dtype and np.array_equal(logits.grad, d_logits)
 
 
 def test_layer_norm_normalizes():
@@ -187,22 +210,21 @@ def test_matmul_shape_errors_name_shapes():
 def test_split_merge_heads_roundtrip_and_gradient():
     rng = np.random.default_rng(6)
     x = rng.normal(size=(2, 4, 6))
-    split = ad.split_heads(ad.constant(x), 3)
-    assert split.data.shape == (2, 3, 4, 2)
+    split = ad.to_heads(x, 3)
+    assert split.shape == (2, 3, 4, 2) and np.shares_memory(split, x)
     # head h holds columns 2h, 2h+1 of every row
-    np.testing.assert_array_equal(split.data[:, 1], x[..., 2:4])
-    np.testing.assert_array_equal(ad.merge_heads(split).data, x)
+    np.testing.assert_array_equal(split[:, 1], x[..., 2:4])
+    np.testing.assert_array_equal(ad.from_heads(split), x)
     with pytest.raises(ValueError, match="heads"):
-        ad.split_heads(ad.constant(x), 4)
+        ad.attention(ad.constant(x), ad.constant(x), ad.constant(x), 4)
 
     params = _random_params(rng, {"x": (2, 4, 6), "w": (6, 6)})
     weights = rng.normal(size=(2, 4, 6))
 
     def f():
         # per-head attention makes each head's gradient depend on its own columns
-        heads = ad.split_heads(ad.matmul(params["x"], params["w"]), 3)
-        merged = ad.merge_heads(ad.attention(heads, heads, heads))
-        return ad.tensor_sum(ad.mul(merged, ad.constant(weights)))
+        h = ad.matmul(params["x"], params["w"])
+        return ad.tensor_sum(ad.mul(ad.attention(h, h, h, 3), ad.constant(weights)))
 
     res = _fd(f, params, step=1e-6)
     assert res.max_rel_error < 1e-6
@@ -210,11 +232,14 @@ def test_split_merge_heads_roundtrip_and_gradient():
 
 
 def test_masked_mean_counts_only_selected():
-    x = ad.constant(np.array([1.0, 2.0, 3.0, 4.0]))
-    out = ad.masked_mean(x, np.array([1.0, 0.0, 1.0, 0.0]))
-    np.testing.assert_allclose(out.data, 2.0)
-    with pytest.raises(ValueError):
-        ad.masked_mean(x, np.zeros(4))
+    # positions 0 and 2 lose log 2 and log 4 against uniform pairs, the
+    # others would lose log 3 and log 5
+    logits = ad.constant(np.log([[1.0, 1.0], [1.0, 2.0], [1.0, 3.0], [1.0, 4.0]]))
+    labels = np.zeros(4, dtype=np.int64)
+    out = ad.cross_entropy(logits, labels, np.array([1.0, 0.0, 1.0, 0.0]))
+    np.testing.assert_allclose(out.data, (math.log(2.0) + math.log(4.0)) / 2, atol=1e-12)
+    with pytest.raises(ValueError, match="empty mask"):
+        ad.cross_entropy(logits, labels, np.zeros(4))
 
 
 # --- backward machinery ------------------------------------------------------
@@ -237,7 +262,7 @@ def test_backward_accumulates_across_calls():
 def test_second_backward_over_same_graph_sums():
     # l = 2 x^2 at x = 3: dl/dx = 12, so two passes give 24
     x = ad.parameter(np.array([3.0]))
-    doubled = ad.scale(x, 2)
+    doubled = ad.mul(x, ad.constant(2.0))
     loss = ad.tensor_sum(ad.mul(doubled, x))
     ad.backward(loss)
     assert doubled.grad is None and loss.grad is None  # interior: freed
@@ -250,7 +275,7 @@ def test_backward_accumulates_in_place_into_bound_views():
     x, b = ad.parameter(np.ones((2, 2))), ad.parameter(np.ones(1))
     ad.zero_grad([x, b], flat, [flat[:4].reshape(2, 2), flat[4:]])
     assert not flat.any()
-    ad.backward(ad.tensor_sum(ad.add(ad.scale(x, 3), b)))
+    ad.backward(ad.tensor_sum(ad.add(ad.mul(x, ad.constant(3.0)), b)))
     assert np.shares_memory(x.grad, flat) and np.shares_memory(b.grad, flat)
     np.testing.assert_array_equal(flat, [3, 3, 3, 3, 4])
 
@@ -304,7 +329,7 @@ def test_finite_diff_small_composite():
     def f():
         h = ad.relu(ad.matmul(ad.constant(x), params["w1"]))
         logits = ad.add(ad.matmul(h, params["w2"]), params["b"])
-        return ad.masked_mean(ad.cross_entropy_logits(logits, labels), np.ones(2))
+        return ad.cross_entropy(logits, labels, np.array([1.0, 1.0]))
 
     res = _fd(f, params, step=1e-6)
     assert res.max_rel_error < 1e-6
@@ -321,7 +346,7 @@ def test_finite_diff_layer_norm_softmax_path():
     def f():
         h = ad.add_norm(params["x"], params["r"], params["g"], params["b"])
         q, k, v = (ad.matmul(h, params[w]) for w in ("wq", "wk", "wv"))
-        mixed = ad.attention(q, k, v, mask)
+        mixed = ad.attention(q, k, v, 1, mask)
         return ad.tensor_sum(ad.mul(mixed, ad.constant(rng_weights)))
 
     rng_weights = np.random.default_rng(5).normal(size=(3, 4))
@@ -331,14 +356,16 @@ def test_finite_diff_layer_norm_softmax_path():
 
 def test_attention_and_add_norm_gradients_match_jacobian_oracles():
     rng = np.random.default_rng(9)
-    q, k, v = (ad.parameter(rng.normal(size=shape)) for shape in ((2, 3, 4), (2, 5, 4), (2, 5, 3)))
+    # batch 2, two heads of widths 2 (queries, keys) and 3 (values)
+    q, k, v = (ad.parameter(rng.normal(size=shape)) for shape in ((2, 3, 4), (2, 5, 4), (2, 5, 6)))
     mask = np.where(rng.random((3, 5)) < 0.4, -np.inf, 0.0)
     mask[:, 0] = 0.0  # every row keeps a key
-    up = rng.normal(size=(2, 3, 3))
-    ad.backward(ad.tensor_sum(ad.mul(ad.attention(q, k, v, mask), ad.constant(up))))
-    for h in range(2):
-        want = o_attention_grads(q.data[h], k.data[h], v.data[h], mask, up[h])
-        for got, expected in zip((q.grad[h], k.grad[h], v.grad[h]), want):
+    up = rng.normal(size=(2, 3, 6))
+    ad.backward(ad.tensor_sum(ad.mul(ad.attention(q, k, v, 2, mask), ad.constant(up))))
+    split = [ad.to_heads(a, 2) for a in (q.data, k.data, v.data, up, q.grad, k.grad, v.grad)]
+    for b, h in itertools.product(range(2), range(2)):
+        qh, kh, vh, uh, *grads = (a[b, h] for a in split)
+        for got, expected in zip(grads, o_attention_grads(qh, kh, vh, mask, uh)):
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
     a, b = ad.parameter(rng.normal(size=(4, 6)) * 3), ad.parameter(rng.normal(size=(4, 6)))
@@ -348,6 +375,32 @@ def test_attention_and_add_norm_gradients_match_jacobian_oracles():
     d_sum, d_gain, d_bias = o_add_norm_grads(a.data, b.data, gain.data, up)
     for got, expected in ((a.grad, d_sum), (b.grad, d_sum), (gain.grad, d_gain), (bias.grad, d_bias)):
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_attention_equals_the_head_split_kernel(dtype):
+    # the node's output is from_heads(attend(to_heads(...))) bit for bit, with
+    # a key mask per batch row as the encoder passes it, and a causal mask
+    rng = np.random.default_rng(14)
+    b, t, s, heads, w = 2, 5, 4, 3, 4
+    q, k, v = (rng.normal(size=(b, n, heads * w)).astype(dtype) for n in (t, s, s))
+    key_mask = np.where(rng.random((b, 1, 1, s)) < 0.3, -np.inf, 0.0)
+    key_mask[..., 0] = 0.0
+    for x, y, mask in ((q, k, key_mask), (q[:, :s], k, np.triu(np.full((s, s), -np.inf), 1))):
+        node = ad.attention(ad.constant(x), ad.constant(y), ad.constant(v), heads, mask)
+        want = ad.from_heads(ad.attend(ad.to_heads(x, heads), ad.to_heads(y, heads),
+                                       ad.to_heads(v, heads), mask)[0])
+        assert node.data.dtype == dtype and np.array_equal(node.data, want)
+
+
+def test_finite_diff_cross_entropy_under_a_partial_mask():
+    rng = np.random.default_rng(15)
+    params = _random_params(rng, {"x": (2, 3, 5)})
+    labels = rng.integers(0, 5, size=(2, 3))
+    mask = np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    res = _fd(lambda: ad.cross_entropy(params["x"], labels, mask), params, step=1e-6)
+    assert res.max_rel_error < 1e-6
+    assert res.coords_checked == 2 * 3 * 5
 
 
 def test_finite_diff_flags_wrong_gradient():
@@ -410,13 +463,14 @@ def test_folded_matmul_matches_einsum(monkeypatch, lead):
 def test_finite_diff_folded_matmul(lead):
     rng = np.random.default_rng(7 + len(lead))
     # one contiguous activation, and one head-split view that the fold copies
-    params = _random_params(rng, {"a": (*lead, 4), "t": (*lead[:-2], lead[-1], lead[-2] * 4),
-                                  "w": (4, 3)})
+    params = _random_params(rng, {"a": (*lead, 4), "w": (4, 3)})
+    params["t"] = ad.parameter(ad.to_heads(rng.normal(size=(*lead[:-2], lead[-1], lead[-2] * 4)),
+                                           lead[-2]))
     weights = rng.normal(size=(2, *lead, 3))
 
     def f():
         h1 = ad.matmul(params["a"], params["w"])
-        h2 = ad.matmul(ad.split_heads(params["t"], lead[-2]), params["w"])
+        h2 = ad.matmul(params["t"], params["w"])
         return ad.add(ad.tensor_sum(ad.mul(ad.relu(h1), ad.constant(weights[0]))),
                       ad.tensor_sum(ad.mul(h2, ad.constant(weights[1]))))
 
@@ -448,7 +502,8 @@ def test_mul_backward_matches_product_rule(d, seed):
 def test_dtype_preserved_through_ops():
     x32 = ad.constant(np.ones((2, 2), dtype=np.float32))
     assert ad.matmul(x32, x32).data.dtype == np.float32
-    assert ad.attention(x32, x32, x32, np.zeros((2, 2))).data.dtype == np.float32
+    assert ad.attention(x32, x32, x32, 1, np.zeros((2, 2))).data.dtype == np.float32
+    assert ad.cross_entropy(x32, np.zeros(2, dtype=np.int64), np.ones(2)).data.dtype == np.float32
     assert ad.attend(x32.data, x32.data, x32.data, np.zeros((2, 2)))[1].dtype == np.float32
     assert ad.add_norm(x32, x32, ad.constant(np.ones(2, dtype=np.float32)),
                        ad.constant(np.zeros(2, dtype=np.float32))).data.dtype == np.float32

@@ -121,6 +121,16 @@ def test_top_k_and_top_p_agree_on_tied_probabilities(n):
         assert 0 <= cid < n and p == pytest.approx(1.0 / kept)
 
 
+@pytest.mark.parametrize("temperature", [1e-310, 5e-324, 1e-300])
+def test_tiny_temperature_is_the_argmax_with_probability_one(temperature):
+    # logits / temperature overflows to inf here, which left NaN probabilities
+    logits = np.array([0.5, 2.0, -1.0, 1.5])
+    for top_k, top_p in ((None, None), (2, None), (None, 0.9)):
+        rng = np.random.default_rng(0)
+        for _ in range(5):
+            assert gn.sample_next(logits, temperature, rng, top_k, top_p) == (1, 1.0)
+
+
 def test_sample_next_rejects_nonfinite():
     with pytest.raises(ValueError, match="non-finite"):
         gn.sample_next(np.array([np.nan, 0.0]), 1.0, np.random.default_rng(0))

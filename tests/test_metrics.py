@@ -306,10 +306,13 @@ def test_df_rows_span_write_parts_in_order(tmp_path):
     ("#documents\t-3\n", 1, "document count -3 is below 1"),
     ("#documents\t2\nthe\t1\nthe cat\t3\n", 3, "count 3 outside [1, 2] documents"),
     ("#documents\t2\nthe\t0\n", 2, "count 0 outside [1, 2] documents"),
-], ids=["no-documents", "negative-documents", "count-above-documents", "zero-count"])
+    ("#documents\t3\nthe\t1\nthe cat\t1\nthe\t3\n", 4, "gram 'the' repeats line 2"),
+    ("#documents\t3\textra\nthe\t1\n", 1, "expected #documents<TAB>count, got '#documents\\t3\\textra'"),
+], ids=["no-documents", "negative-documents", "count-above-documents", "zero-count",
+        "repeated-gram", "header-fields"])
 def test_load_df_refuses_impossible_counts(tmp_path, text, line, message):
     # build_df never writes these; a zero document count used to surface
-    # later as a bare "math domain error"
+    # later as a bare "math domain error", and a repeated gram kept its last count
     path = tmp_path / "df.tsv"
     path.write_text(text)
     with pytest.raises(DataError) as err:

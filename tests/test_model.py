@@ -72,7 +72,7 @@ def test_attention_known_weights():
     q = ad.constant(np.array([[[math.log(3.0)]]]))
     k = ad.constant(np.array([[[1.0], [0.0]]]))
     v = ad.constant(np.array([[[10.0, 0.0], [0.0, 10.0]]]))
-    out = ad.attention(q, k, v).data
+    out = ad.attention(q, k, v, 1).data
     np.testing.assert_allclose(out, [[[7.5, 2.5]]], atol=1e-10)
 
 
@@ -81,7 +81,7 @@ def test_attention_single_key_returns_value():
     q = ad.constant(rng.normal(size=(2, 3, 4)))
     k = ad.constant(rng.normal(size=(2, 1, 4)))
     v = ad.constant(rng.normal(size=(2, 1, 4)))
-    np.testing.assert_allclose(ad.attention(q, k, v).data,
+    np.testing.assert_allclose(ad.attention(q, k, v, 2).data,
                                np.broadcast_to(v.data, (2, 3, 4)), atol=1e-12)
 
 
@@ -92,7 +92,7 @@ def test_attention_additive_mask_blocks_keys():
     v = ad.constant(rng.normal(size=(1, 3, 4)))
     mask = np.array([[[0.0, md.NEG_INF, md.NEG_INF],
                       [0.0, md.NEG_INF, md.NEG_INF]]])
-    out = ad.attention(q, k, v, mask).data
+    out = ad.attention(q, k, v, 2, mask).data
     np.testing.assert_allclose(out, np.broadcast_to(v.data[:, :1], (1, 2, 4)), atol=1e-12)
 
 

@@ -58,3 +58,18 @@ def test_train_step_zeroes_and_steps_through_the_traced_attributes(
     history = tr.train(params, toy_records, toy_tok, toy_cvocab, toy_labels, cfg)
     assert len(history) == 3
     assert calls == {"zero_grad": 3, "lamb_step": 3}
+
+
+def test_toy_training_step_graph_size(monkeypatch, toy_records, toy_tok, toy_cvocab, toy_labels,
+                                      toy_model_cfg):
+    # the figures autodiff.nodes_per_step and autodiff.matmul_nodes_per_step
+    # report for the toy preset: attention splits and merges its own heads,
+    # and each head's masked mean cross-entropy is one node
+    counts = []
+    backward = ad.backward
+    monkeypatch.setattr(ad, "backward",
+                        lambda loss: counts.append(_tracing().graph_counts(loss)) or backward(loss))
+    params = init_parameters(toy_model_cfg, np.random.default_rng(0), dtype=ad.NARROW)
+    cfg = TrainConfig(batch_size=4, steps=1, warmup_steps=1, precision="narrow", log_every=0)
+    tr.train(params, toy_records, toy_tok, toy_cvocab, toy_labels, cfg)
+    assert counts == [(66, 36)]

@@ -411,6 +411,12 @@ def test_damaged_checkpoints_name_the_file(tmp_path):
                         config_hash=config_hash(ModelConfig(**bad_cfg)))
         with pytest.raises(DataError, match=rf"bad-{field}\.bin manifest is malformed.*{field}"):
             tr.load_checkpoint(bad)
+    # a string failed with a traceback, -5 trained at a negative learning
+    # rate and 3.5 logged fractional steps; JSON true is a Python int
+    for step in ("x", -5, 3.5, True):
+        with pytest.raises(DataError, match=r"step\.bin manifest is malformed.*"
+                                            r"step is .*, not a non-negative integer"):
+            tr.load_checkpoint(rewritten("step.bin", step=step))
     assert tr.load_checkpoint(rewritten("intact.bin")).step == opt.step
     del manifest["rng_state"]
     blob = json.dumps(manifest).encode()
