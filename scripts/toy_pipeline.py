@@ -3,7 +3,9 @@
 
 Writes every artifact the CLI knows how to produce into a work directory,
 resumes training from the final checkpoint for ten more steps, generates
-twice onto the same file, then prints the evaluation report. It exits
+twice onto the same file, then prints the evaluation report. Before
+training it plants the temp file a killed checkpoint save leaves behind,
+for a process that has exited, which training must remove. It exits
 non-zero if a step fails or a temp file (*.tmp) is left in the work
 directory. With the default 2000 steps the model memorizes the corpus and
 greedy decoding reproduces the abstracts; pass a smaller --steps for a
@@ -14,6 +16,7 @@ quick smoke run.
 
 import argparse
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -59,6 +62,12 @@ def main_script():
     run(["build-vocab", "--input", str(corpus), "--min-count", "1",
          "--out", str(vocab)])
     run(["build-df", "--input", str(corpus), "--out", str(df)])
+    # what a save killed between writing and renaming leaves: train removes
+    # it, since the process that wrote it is gone
+    child = subprocess.Popen([sys.executable, "-c", ""])
+    child.wait()
+    ckpts.mkdir(exist_ok=True)
+    (ckpts / f".ckpt-0000000.bin.{child.pid}.tmp").write_bytes(b"part of a checkpoint")
     run(["train", "--config", "toy", "--data", str(corpus),
          "--tokenizer", str(tok), "--vocab", str(vocab),
          "--checkpoint-dir", str(ckpts), "--steps", str(args.steps),

@@ -9,7 +9,9 @@ UTF-8 is reported at its line.
 from __future__ import annotations
 
 import contextlib
+import fnmatch
 import os
+import re
 import stat
 
 from .errors import DataError
@@ -18,6 +20,9 @@ from .errors import DataError
 # VM, one write call per 26 MB block made the first saves of a run about
 # three times slower than slices do (90 against 30 ms for a 78 MB checkpoint).
 WRITE_SLICE = 1 << 20
+
+# ``write_atomic``'s temp file for ``<name>``, written by process ``<pid>``.
+_TEMP_NAME = re.compile(r"\.(.+)\.(\d+)\.tmp")
 
 
 def read_lines(path, what: str) -> list[tuple[int, str]]:
@@ -89,3 +94,29 @@ def write_atomic(path, parts) -> None:
         if isinstance(e, OSError) and (e.filename == tmp or (e.filename is None and e.errno)):
             raise type(e)(e.errno, e.strerror, os.fspath(path)) from None
         raise
+
+
+def remove_stale_temps(directory, pattern: str) -> list[str]:
+    """Remove the temp files that ``write_atomic`` left in ``directory``, for
+    targets whose names match the glob ``pattern``, when the process that
+    wrote one is no longer running, as after a kill between the open and the
+    rename. A missing directory holds none. Returns the paths removed."""
+    try:
+        names = sorted(os.listdir(directory))
+    except FileNotFoundError:
+        return []
+    removed = []
+    for name in names:
+        m = _TEMP_NAME.fullmatch(name)
+        if m is None or not fnmatch.fnmatchcase(m[1], pattern):
+            continue
+        try:
+            os.kill(int(m[2]), 0)
+        except ProcessLookupError:
+            path = os.path.join(directory, name)
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
+                removed.append(path)
+        except (PermissionError, OverflowError):
+            pass  # another user's process, or no process id at all
+    return removed

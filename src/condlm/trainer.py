@@ -9,13 +9,20 @@ file: magic, format version, a canonical JSON manifest (config, step, RNG
 state, dtype, whether moments follow), zero padding to an aligned offset,
 then the arena's bytes and, if present, the two moment buffers'. The
 names, shapes and spans of the tensors come from ``parameter_shapes``.
-Loading reads the file once and hands out views of that buffer, which a
-resumed run then trains in place. save -> load -> save is byte-identical,
-and a resumed run replays the uninterrupted one exactly.
+Loading reads each block into its own buffer and hands out views of it, so
+a holder of the parameters does not keep the moments alive, and a resumed
+run trains in place in those buffers. save -> load -> save is
+byte-identical, and a resumed run replays the uninterrupted one exactly.
+
+A training step drops its graph once backward has run, so only one graph
+is alive at a time. ``train`` first tells glibc's malloc to keep freed
+memory in the process (see ``_keep_freed_pages``), so the next step's
+forward reuses those pages instead of faulting fresh ones in.
 """
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import json
 import logging
@@ -31,7 +38,7 @@ from .config import ModelConfig, TrainConfig, config_hash
 from .corpus import AnnotatedRecord, build_batch, sample_window
 from .errors import ConfigError, DataError, NumericalError
 from .model import ModelParameters, forward, loss, parameter_shapes
-from .textio import write_atomic
+from .textio import remove_stale_temps, write_atomic
 from .tokenizer import PAD_ID, TokenizerModel
 from .vocab import ConditionVocab, LabelVocabs
 
@@ -40,7 +47,7 @@ log = logging.getLogger(__name__)
 CHECKPOINT_MAGIC = b"CLMC"
 CHECKPOINT_VERSION = 3
 # The payload starts at a multiple of this many bytes from the start of the
-# file, so a read buffer yields aligned views.
+# file, so every block, and every tensor in it, sits at an aligned offset.
 CHECKPOINT_ALIGN = 64
 
 
@@ -206,20 +213,24 @@ class Checkpoint:
 
 
 def load_checkpoint(path, expect_hash: str | None = None) -> Checkpoint:
-    """Read a checkpoint into one buffer. The parameter arena and the two
-    moment buffers are views of it, so nothing is copied after the read and
-    a resumed run trains in place in the read buffer."""
+    """Read a checkpoint's header, then each block (parameters, ``m``,
+    ``v``) into its own buffer. The parameter arena and the two moment
+    buffers are those buffers, so nothing is copied after the read, a
+    resumed run trains in place in them, and a holder of the parameters
+    alone keeps one block alive, not three."""
     try:
         with open(path, "rb") as f:
-            # not a bytearray: numpy skips the zero fill and backs a buffer
-            # this large with huge pages, so reading it faults few pages
-            raw = np.empty(os.fstat(f.fileno()).st_size, np.uint8)
-            got = f.readinto(raw)
+            return _read_checkpoint(f, path, expect_hash)
     except OSError as e:
         raise DataError(f"cannot read checkpoint {path}: {e}") from None
-    if raw[:4].tobytes() != CHECKPOINT_MAGIC or got < 16:
+
+
+def _read_checkpoint(f, path, expect_hash: str | None) -> Checkpoint:
+    got = os.fstat(f.fileno()).st_size
+    head = f.read(16)
+    if head[:4] != CHECKPOINT_MAGIC or len(head) < 16:
         raise DataError(f"{path} is not a checkpoint (bad magic or short header)")
-    version, manifest_len = struct.unpack_from("<IQ", raw, 4)
+    version, manifest_len = struct.unpack_from("<IQ", head, 4)
     if version in (1, 2):
         raise DataError(f"checkpoint {path} was written by format {version}, which this "
                         f"version cannot read; re-train it")
@@ -228,7 +239,7 @@ def load_checkpoint(path, expect_hash: str | None = None) -> Checkpoint:
     if 16 + manifest_len > got:
         raise DataError(f"checkpoint {path} is truncated inside its manifest")
     try:
-        manifest = json.loads(raw[16:16 + manifest_len].tobytes())
+        manifest = json.loads(f.read(manifest_len))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise DataError(f"checkpoint {path} manifest is not valid JSON: {e}") from None
     try:
@@ -260,7 +271,15 @@ def load_checkpoint(path, expect_hash: str | None = None) -> Checkpoint:
     if got > start + len(names) * nbytes:
         raise DataError(f"checkpoint {path} has {got - start - len(names) * nbytes} "
                         f"trailing bytes after its last block")
-    blocks = [np.frombuffer(raw, dtype, size, start + i * nbytes) for i in range(len(names))]
+    f.seek(start)
+    blocks = []
+    for name in names:
+        # np.empty, not a bytearray: numpy skips the zero fill and backs a
+        # buffer this large with huge pages, so reading it faults few pages
+        block = np.empty(size, dtype)
+        if f.readinto(block) != nbytes:
+            raise DataError(f"checkpoint {path} is truncated inside its {name} block")
+        blocks.append(block)
     params = ModelParameters(model_cfg, blocks[0])
     opt = OptimizerState(step=step)
     if len(blocks) == 3:
@@ -310,6 +329,27 @@ def _write_checkpoint(checkpoint_dir, params, opt, rng, train_cfg, keep: int = 2
     return path
 
 
+# glibc's mallopt parameters (malloc.h).
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_freed_pages() -> None:
+    """Ask glibc's malloc to serve blocks under 32 MiB from its heap and to
+    hand freed heap memory back to the OS only past 1 GiB at the top. A step
+    frees its graph before the next forward builds one of the same shape;
+    without this, malloc unmaps or trims that memory and every forward faults
+    its activations back in. A libc without ``mallopt`` is left as it is."""
+    try:
+        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    except OSError:
+        return
+    if mallopt is None:
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(M_TRIM_THRESHOLD, 1 << 30)
+
+
 def train(params: ModelParameters, records: list[AnnotatedRecord],
           tok: TokenizerModel, cvocab: ConditionVocab, labels: LabelVocabs,
           train_cfg: TrainConfig, *,
@@ -330,6 +370,10 @@ def train(params: ModelParameters, records: list[AnnotatedRecord],
     if rng is None:
         rng = np.random.default_rng(train_cfg.seed)
     cadence = _checkpoint_cadence(train_cfg, len(records))
+    if checkpoint_dir is not None:
+        for path in remove_stale_temps(checkpoint_dir, "ckpt-*"):
+            log.info("removed %s, left by a process that is no longer running", path)
+    _keep_freed_pages()
     history: list[StepStats] = []
     while opt.step < train_cfg.steps:
         batch = _draw_batch(records, tok, cvocab, labels, train_cfg,
@@ -345,15 +389,17 @@ def train(params: ModelParameters, records: list[AnnotatedRecord],
                 f"non-finite loss at step {opt.step + 1}: "
                 f"token={result.token} pos={result.pos} dep={result.dep} ent={result.ent}")
         ad.backward(result.total)
+        heads = result.token, result.pos, result.dep, result.ent
+        # the graph goes now, so the next forward is the only one alive
+        del out, result
         lr = lamb_step(params, opt, train_cfg)
-        stats = StepStats(opt.step, lr, total, result.token, result.pos,
-                          result.dep, result.ent)
+        stats = StepStats(opt.step, lr, total, *heads)
         history.append(stats)
         if on_step is not None:
             on_step(stats)
         if train_cfg.log_every and opt.step % train_cfg.log_every == 0:
             log.info("step %d lr %.2e loss %.4f (token %.4f pos %.4f dep %.4f ent %.4f)",
-                     stats.step, lr, total, result.token, result.pos, result.dep, result.ent)
+                     stats.step, lr, total, *heads)
         if checkpoint_dir is not None and opt.step % cadence == 0:
             _write_checkpoint(checkpoint_dir, params, opt, rng, train_cfg)
     return history

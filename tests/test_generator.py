@@ -225,12 +225,11 @@ def test_generate_from_a_loaded_checkpoint_copies_no_parameter(tmp_path):
     ck = tr.load_checkpoint(path)
     gn.generate(ck.params, tok, cvocab,
                 gn.GenerationRequest("w0", 1990, temperature=0.0, max_tokens=20))
-    # the arena is still a view of the one read buffer, every tensor a view
-    # of the arena, and no gradient buffer was made
-    read = ck.params.data.base
-    assert read.dtype == np.uint8 and read.size == path.stat().st_size
-    assert all(t.data.base is read and np.shares_memory(t.data, ck.params.data)
-               for _, t in ck.params.items())
+    # the arena is still the parameter block's one buffer, of exactly the
+    # block's size, every tensor a view of it, and no gradient buffer was made
+    block = ck.params.data
+    assert block.base is None and block.nbytes == params.data.nbytes
+    assert all(t.data.base is block for _, t in ck.params.items())
     assert ck.params.grad is None
 
 

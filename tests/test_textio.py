@@ -1,12 +1,14 @@
 import errno
 import os
 import stat
+import subprocess
+import sys
 import threading
 
 import numpy as np
 import pytest
 
-from condlm.textio import WRITE_SLICE, write_atomic
+from condlm.textio import WRITE_SLICE, remove_stale_temps, write_atomic
 
 
 def leftovers(directory):
@@ -128,3 +130,18 @@ def test_a_failed_directory_fsync_names_the_target(tmp_path, monkeypatch):
         write_atomic(path, ["row\n"])
     assert info.value.errno == errno.EIO and info.value.filename == str(path)
     assert path.read_text() == "row\n" and leftovers(tmp_path) == []  # the rename was done
+
+
+def test_remove_stale_temps_takes_only_matching_temps_of_exited_processes(tmp_path):
+    child = subprocess.Popen([sys.executable, "-c", ""])
+    child.wait()
+    names = [f".ckpt-1.bin.{child.pid}.tmp",         # removed
+             f".ckpt-2.bin.{os.getpid()}.tmp",       # its writer still runs
+             f".final.bin.{child.pid}.tmp",          # another name
+             f"ckpt-3.bin.{child.pid}.tmp",          # not hidden: not a temp file
+             f".ckpt-4.bin.{10 ** 30}.tmp"]          # no process id
+    for name in names:
+        (tmp_path / name).write_bytes(b"")
+    assert remove_stale_temps(tmp_path, "ckpt-*") == [os.path.join(tmp_path, names[0])]
+    assert sorted(os.listdir(tmp_path)) == sorted(names[1:])
+    assert remove_stale_temps(tmp_path / "missing", "ckpt-*") == []

@@ -1,8 +1,12 @@
+import ctypes
 import errno
+import gc
 import json
 import math
 import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -27,12 +31,12 @@ def scalar_params(w, cfg=None):
     return params, params["w"]
 
 
-def owner(arr: np.ndarray):
-    """The object that owns an array's memory."""
-    base = arr
-    while isinstance(base, np.ndarray):
-        base = base.base
-    return base.obj if isinstance(base, memoryview) else base
+def owner(arr: np.ndarray) -> np.ndarray:
+    """The array that owns an array's memory."""
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    assert arr.flags.owndata, f"{arr.base!r} owns the memory, not an array"
+    return arr
 
 
 # --- learning-rate schedule -----------------------------------------------------
@@ -302,12 +306,18 @@ def test_checkpoint_is_aligned_and_loads_as_views(tmp_path, precision):
     assert raw[payload:] == b"".join(a.tobytes() for a in (params.data, *opt.flat))
 
     ck = tr.load_checkpoint(path)
-    arrays = [ck.params.data, *ck.opt.flat] + [t.data for _, t in ck.params.items()] \
-        + list(ck.opt.m.values()) + list(ck.opt.v.values())
-    assert len(arrays) == 3 + 3 * len(params.tensors)
-    for arr in arrays:
-        assert arr.flags.writeable and arr.flags.aligned
-    assert len({id(owner(arr)) for arr in arrays}) == 1  # one read buffer, no copies
+    blocks = (ck.params.data, *ck.opt.flat)
+    views = ([t.data for _, t in ck.params.items()], list(ck.opt.m.values()),
+             list(ck.opt.v.values()))
+    assert all(len(vs) == len(params.tensors) for vs in views)
+    for block, vs in zip(blocks, views):
+        # each block is one buffer of exactly the block's size, and every
+        # tensor of the block is a view of it: no copies
+        assert owner(block) is block and block.nbytes == n
+        assert all(owner(v) is block for v in vs)
+        for arr in (block, *vs):
+            assert arr.flags.writeable and arr.flags.aligned
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(blocks) for b in blocks[i + 1:])
     for name, tensor in params.items():
         np.testing.assert_array_equal(ck.params[name].data, tensor.data)
         np.testing.assert_array_equal(ck.opt.m[name], tensor.data + 1)
@@ -333,18 +343,19 @@ def test_resumed_lamb_step_updates_the_read_buffer(tmp_path):
     tr.save_checkpoint(path, params, opt, rng, tcfg)
     ck = tr.load_checkpoint(path)
     blocks = (ck.params.data, *ck.opt.flat)
-    read = owner(ck.params.data)
     grads = {name: rng.normal(size=t.data.shape).astype(np.float32) for name, t in params.items()}
     for state, model in ((opt, params), (ck.opt, ck.params)):
         model.zero_grad()
         for name, t in model.items():
             t.grad += grads[name]
         tr.lamb_step(model, state, tcfg)
-    # the same buffers, updated in place inside the read buffer ...
+    # the same buffers, one per block, updated in place ...
     assert all(a is b for a, b in zip((ck.params.data, *ck.opt.flat), blocks))
-    assert all(owner(b) is read for b in blocks)
-    assert all(owner(t.data) is read for _, t in ck.params.items())
-    assert all(owner(a) is read for a in (*ck.opt.m.values(), *ck.opt.v.values()))
+    assert all(owner(b) is b and b.nbytes == params.data.nbytes for b in blocks)
+    assert all(owner(t.data) is blocks[0] for _, t in ck.params.items())
+    assert all(owner(a) is blocks[1] for a in ck.opt.m.values())
+    assert all(owner(a) is blocks[2] for a in ck.opt.v.values())
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(blocks) for b in blocks[i + 1:])
     # ... to the bytes of the uninterrupted state
     for mine, theirs in zip((params.data, *opt.flat), blocks):
         assert mine.tobytes() == theirs.tobytes()
@@ -481,6 +492,72 @@ def test_train_empty_corpus_rejected(toy_tok, toy_cvocab, toy_labels, toy_model_
     params = narrow_toy_params(toy_model_cfg)
     with pytest.raises(DataError, match="empty"):
         tr.train(params, [], toy_tok, toy_cvocab, toy_labels, toy_train_cfg(1))
+
+
+def test_train_keeps_one_graph_alive(toy_records, toy_tok, toy_cvocab, toy_labels,
+                                     toy_model_cfg):
+    # by the time a step is reported its graph is gone, so the next forward
+    # is never built beside it
+    live = []
+
+    def count_graph_nodes(stats):
+        live.append(sum(1 for obj in gc.get_objects()
+                        if isinstance(obj, ad.Tensor) and obj.parents))
+
+    tr.train(narrow_toy_params(toy_model_cfg), toy_records, toy_tok, toy_cvocab,
+             toy_labels, toy_train_cfg(3), on_step=count_graph_nodes)
+    assert live == [0, 0, 0]
+
+
+class _NoMallopt:
+    pass
+
+
+class _RecordingLibc:
+    def __init__(self):
+        self.calls = []
+        # a function, which takes ctypes' argtypes and restype like a libc one
+        self.mallopt = lambda param, value: self.calls.append((param, value)) or 1
+
+
+def _no_libc(name):
+    raise OSError("no such library")
+
+
+@pytest.mark.parametrize("libc", ["missing", "without mallopt", "recording"])
+def test_the_allocator_call_is_a_no_op_where_libc_has_no_mallopt(
+        monkeypatch, libc, toy_records, toy_tok, toy_cvocab, toy_labels, toy_model_cfg):
+    expected = narrow_toy_params(toy_model_cfg)
+    tr.train(expected, toy_records, toy_tok, toy_cvocab, toy_labels, toy_train_cfg(1))
+    recording = _RecordingLibc()
+    fakes = {"missing": _no_libc, "without mallopt": lambda name: _NoMallopt(),
+             "recording": lambda name: recording}
+    monkeypatch.setattr(ctypes, "CDLL", fakes[libc])
+    params = narrow_toy_params(toy_model_cfg)
+    tr.train(params, toy_records, toy_tok, toy_cvocab, toy_labels, toy_train_cfg(1))
+    assert params.data.tobytes() == expected.data.tobytes()
+    if libc == "recording":
+        assert recording.calls == [(tr.M_MMAP_THRESHOLD, 32 << 20), (tr.M_TRIM_THRESHOLD, 1 << 30)]
+
+
+def exited_pid() -> int:
+    """The id of a process that has run and been reaped."""
+    child = subprocess.Popen([sys.executable, "-c", ""])
+    child.wait()
+    return child.pid
+
+
+def test_train_removes_temp_checkpoints_of_processes_that_are_gone(
+        tmp_path, toy_records, toy_tok, toy_cvocab, toy_labels, toy_model_cfg):
+    # a kill inside write_atomic leaves its temp file; the next run removes
+    # it unless the process that wrote it still runs
+    stale = tmp_path / f".ckpt-0000004.bin.{exited_pid()}.tmp"
+    live = tmp_path / f".ckpt-0000004.bin.{os.getpid()}.tmp"
+    for path in (stale, live):
+        path.write_bytes(b"part of a checkpoint")
+    tr.train(narrow_toy_params(toy_model_cfg), toy_records, toy_tok, toy_cvocab,
+             toy_labels, toy_train_cfg(1, checkpoint_every_steps=100), checkpoint_dir=tmp_path)
+    assert sorted(os.listdir(tmp_path)) == [live.name]
 
 
 def test_resume_matches_uninterrupted_run(tmp_path, toy_records, toy_tok, toy_cvocab,
