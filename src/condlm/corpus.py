@@ -139,17 +139,19 @@ def align_labels(record: AnnotatedRecord, tok: TokenizerModel, labels: LabelVoca
                  rng: np.random.Generator | None = None) -> SubwordStream:
     """Tokenize the abstract body word by word; every subword of a word
     carries that word's labels. ``temperature`` switches on sampled
-    tokenization (one draw per word visit)."""
+    tokenization (one draw per word visit). Each token's labels are looked
+    up once, not once per subword."""
     stream = SubwordStream([START_ID], [0], [0], [0], [])
     for sent in record.sentences:
         stream.sentence_starts.append(len(stream.ids))
         for surface, pos, dep, ent in sent:
+            p, d, e = labels.pos.id(pos), labels.dep.id(dep), labels.ent.id(ent)
             for word in _words(surface):
                 for piece_id in _encode_word(tok, word, temperature, rng):
                     stream.ids.append(piece_id)
-                    stream.pos.append(labels.pos.id(pos))
-                    stream.dep.append(labels.dep.id(dep))
-                    stream.ent.append(labels.ent.id(ent))
+                    stream.pos.append(p)
+                    stream.dep.append(d)
+                    stream.ent.append(e)
     stream.ids.append(END_ID)
     for lane in (stream.pos, stream.dep, stream.ent):
         lane.append(0)

@@ -22,7 +22,12 @@ distinct words.
 ``evaluate`` prepares each row's references once (BLEU clip counts and
 lengths, CIDEr vectors and norms with and without the title's n-grams) and
 scores every sentence of the row against them, with the same arithmetic as
-the public per-metric functions.
+the public per-metric functions. Every sentence, candidate or reference,
+has its orders 1..4 counted once (``_counts``), and BLEU's precisions and
+clips and CIDEr's TF-IDF vectors all read those counts. A ``DfCorpus``
+keeps each gram's IDF once it has been looked up, so repeated calls on one
+corpus compute each logarithm once. A vector that holds no title n-gram is
+its own title vector, norm included.
 """
 
 from __future__ import annotations
@@ -60,26 +65,33 @@ def ngrams(tokens: Sequence[str], n: int) -> list[tuple[str, ...]]:
 # BLEU
 
 
-def _bleu_clips(references: Sequence[Sequence[str]], max_order: int) -> list[Counter]:
-    """Per order, the union (elementwise max) of the reference n-gram
-    counters: a candidate count is clipped by its most frequent reference
+def _counts(tokens: Sequence[str], max_order: int = MAX_ORDER) -> list[Counter]:
+    """Per order 1..max_order, the sentence's n-gram counts, zipped from its
+    shifted token lists and counted in C. Grams iterate in the order of
+    their first occurrence, as a ``Counter`` of ``ngrams`` would."""
+    return [Counter(zip(*[tokens[i:] for i in range(n)])) for n in range(1, max_order + 1)]
+
+
+def _bleu_clips(ref_counts: Sequence[Sequence[Counter]]) -> list[dict]:
+    """Per order, the union (elementwise max) of the references' n-gram
+    counts: a candidate count is clipped by its most frequent reference
     occurrence."""
-    clips = []
-    for n in range(1, max_order + 1):
-        best: Counter = Counter()
-        for r in references:
-            best |= Counter(ngrams(r, n))
-        clips.append(best)
+    clips: list[dict] = [{} for _ in ref_counts[0]]
+    for counts in ref_counts:
+        for best, grams in zip(clips, counts):
+            for gram, count in grams.items():
+                if count > best.get(gram, 0):
+                    best[gram] = count
     return clips
 
 
-def _bleu_precisions(candidate: Sequence[str], clips: Sequence[Counter]) -> list[float]:
+def _bleu_precisions(counts: Sequence[Counter], clips: Sequence[dict]) -> list[float]:
     """Clipped n-gram precision for orders 1..len(clips)."""
     out = []
-    for n, best in enumerate(clips, start=1):
-        cand_counts = Counter(ngrams(candidate, n))
-        total = sum(cand_counts.values())
-        out.append(sum((cand_counts & best).values()) / total if total else 0.0)
+    for grams, best in zip(counts, clips):
+        total = sum(grams.values())
+        matched = sum([min(count, best[gram]) for gram, count in grams.items() if gram in best])
+        out.append(matched / total if total else 0.0)
     return out
 
 
@@ -99,6 +111,11 @@ def _bleu_geometric(bp: float, precisions: Sequence[float]) -> float:
     return bp * math.exp(mean_log)
 
 
+def _bleu_counts(candidate: Sequence[str], references: Sequence[Sequence[str]],
+                 max_order: int) -> tuple[list[Counter], list[dict]]:
+    return _counts(candidate, max_order), _bleu_clips([_counts(r, max_order) for r in references])
+
+
 def bleu(candidate: Sequence[str], references: Sequence[Sequence[str]],
          max_order: int = MAX_ORDER) -> float:
     """Sum over orders 1..max_order of (brevity penalty x clipped n-gram
@@ -106,7 +123,7 @@ def bleu(candidate: Sequence[str], references: Sequence[Sequence[str]],
     if not references:
         raise ValueError("bleu needs at least one reference")
     bp = _brevity_penalty(candidate, [len(r) for r in references])
-    return sum(bp * p for p in _bleu_precisions(candidate, _bleu_clips(references, max_order)))
+    return sum(bp * p for p in _bleu_precisions(*_bleu_counts(candidate, references, max_order)))
 
 
 def bleu_geometric(candidate: Sequence[str], references: Sequence[Sequence[str]],
@@ -116,7 +133,7 @@ def bleu_geometric(candidate: Sequence[str], references: Sequence[Sequence[str]]
     if not references:
         raise ValueError("bleu needs at least one reference")
     return _bleu_geometric(_brevity_penalty(candidate, [len(r) for r in references]),
-                           _bleu_precisions(candidate, _bleu_clips(references, max_order)))
+                           _bleu_precisions(*_bleu_counts(candidate, references, max_order)))
 
 
 # ---------------------------------------------------------------------------
@@ -369,13 +386,20 @@ class DfCorpus:
 
     doc_count: int
     df: dict[int, dict[tuple[str, ...], int]] = field(default_factory=dict)
+    # The IDF of every gram looked up so far, which equality, the repr and
+    # the saved form ignore. A corpus is not changed once an IDF is read.
+    _idf: dict[tuple[str, ...], float] = field(default_factory=dict, init=False,
+                                               compare=False, repr=False)
 
     def frequency(self, gram: tuple[str, ...]) -> int:
         # Unseen n-grams count as appearing in one document.
         return max(1, self.df.get(len(gram), {}).get(gram, 0))
 
     def idf(self, gram: tuple[str, ...]) -> float:
-        return math.log(self.doc_count / self.frequency(gram))
+        value = self._idf.get(gram)
+        if value is None:
+            value = self._idf[gram] = math.log(self.doc_count / self.frequency(gram))
+        return value
 
 
 def build_df(token_docs: Iterable[Sequence[str]], max_order: int = MAX_ORDER) -> DfCorpus:
@@ -457,14 +481,15 @@ def _with_norm(vec: dict) -> tuple[dict, float]:
     return vec, math.sqrt(sum(w * w for w in vec.values()))
 
 
-def _tfidf_vectors(tokens: Sequence[str], df: DfCorpus) -> _Vectors:
+def _tfidf_vectors(counts: Sequence[Counter], df: DfCorpus) -> _Vectors:
     # Raw count x IDF. The usual normalization by total n-gram count cancels
     # in the cosine, so it is omitted.
+    idf = df.idf
     out = []
-    for n in range(1, MAX_ORDER + 1):
+    for grams in counts:
         vec: dict[tuple[str, ...], float] = {}
-        for gram, count in Counter(ngrams(tokens, n)).items():
-            weight = count * df.idf(gram)
+        for gram, count in grams.items():
+            weight = count * idf(gram)
             if weight != 0.0:
                 vec[gram] = weight
         out.append(_with_norm(vec))
@@ -472,13 +497,15 @@ def _tfidf_vectors(tokens: Sequence[str], df: DfCorpus) -> _Vectors:
 
 
 def _title_grams(title_tokens: Sequence[str]) -> list[set]:
-    return [set(ngrams(title_tokens, n)) for n in range(1, MAX_ORDER + 1)]
+    return [set(grams) for grams in _counts(title_tokens)]
 
 
 def _drop_title(vectors: _Vectors, title_grams: Sequence[set]) -> _Vectors:
-    """The vectors with every n-gram of the title removed."""
-    return [_with_norm({g: w for g, w in vec.items() if g not in drop})
-            for (vec, _), drop in zip(vectors, title_grams)]
+    """The vectors with every n-gram of the title removed. A vector that
+    holds none of them is returned as it is, with its norm."""
+    return [(vec, norm) if drop.isdisjoint(vec)
+            else _with_norm({g: w for g, w in vec.items() if g not in drop})
+            for (vec, norm), drop in zip(vectors, title_grams)]
 
 
 def _cosine(a: dict, na: float, b: dict, nb: float) -> float:
@@ -503,7 +530,8 @@ def cider(candidate: Sequence[str], references: Sequence[Sequence[str]],
     """Mean TF-IDF cosine per order, summed and scaled to [0, 10]."""
     if not references:
         raise ValueError("cider needs at least one reference")
-    return _cider_core(_tfidf_vectors(candidate, df), [_tfidf_vectors(r, df) for r in references])
+    return _cider_core(_tfidf_vectors(_counts(candidate), df),
+                       [_tfidf_vectors(_counts(r), df) for r in references])
 
 
 def cider_title(candidate: Sequence[str], references: Sequence[Sequence[str]],
@@ -514,8 +542,8 @@ def cider_title(candidate: Sequence[str], references: Sequence[Sequence[str]],
     if not references:
         raise ValueError("cider_title needs at least one reference")
     drop = _title_grams(title_tokens)
-    return _cider_core(_drop_title(_tfidf_vectors(candidate, df), drop),
-                       [_drop_title(_tfidf_vectors(r, df), drop) for r in references])
+    return _cider_core(_drop_title(_tfidf_vectors(_counts(candidate), df), drop),
+                       [_drop_title(_tfidf_vectors(_counts(r), df), drop) for r in references])
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +609,7 @@ class _RowReferences:
 
     tokens: list[list[str]]
     lengths: list[int]
-    clips: list[Counter]  # BLEU clip counts per order
+    clips: list[dict]  # BLEU clip counts per order
     title_grams: list[set]
     vectors: list[_Vectors]  # CIDEr vectors per reference
     title_vectors: list[_Vectors]  # the same with the title's n-grams dropped
@@ -590,15 +618,17 @@ class _RowReferences:
     def build(cls, ref_tokens: list[list[str]], title_tokens: Sequence[str],
               df: DfCorpus) -> "_RowReferences":
         title_grams = _title_grams(title_tokens)
-        vectors = [_tfidf_vectors(r, df) for r in ref_tokens]
-        return cls(ref_tokens, [len(r) for r in ref_tokens], _bleu_clips(ref_tokens, MAX_ORDER),
+        counts = [_counts(r) for r in ref_tokens]
+        vectors = [_tfidf_vectors(c, df) for c in counts]
+        return cls(ref_tokens, [len(r) for r in ref_tokens], _bleu_clips(counts),
                    title_grams, vectors, [_drop_title(v, title_grams) for v in vectors])
 
 
 def _score_sentence(cand_tokens, refs: _RowReferences, df) -> dict[str, float]:
-    precisions = _bleu_precisions(cand_tokens, refs.clips)
+    counts = _counts(cand_tokens)
+    precisions = _bleu_precisions(counts, refs.clips)
     bp = _brevity_penalty(cand_tokens, refs.lengths)
-    vectors = _tfidf_vectors(cand_tokens, df)
+    vectors = _tfidf_vectors(counts, df)
     return {
         "bleu_1": bp * precisions[0],
         "bleu_sum": sum(bp * p for p in precisions),

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import fnmatch
+import glob
 import os
 import re
 import stat
@@ -62,15 +63,20 @@ def write_atomic(path, parts) -> None:
     ``path`` and fsync the directory, so that a crash cannot lose the rename;
     on a failure before the rename remove the temp file, leaving the old
     file. The hidden name keeps a leftover out of ``ckpt-*`` listings, and
-    an ``OSError`` names ``path``, not the temp file. A replaced file keeps
-    its mode. A symlink is followed; a FIFO or a device such as /dev/stdout
-    cannot be replaced and is written to."""
+    an ``OSError`` names ``path``, not the temp file. Before writing, the
+    temp files of ``path`` that processes no longer running left behind are
+    removed (``remove_stale_temps``). A replaced file keeps its mode. A
+    symlink is followed; a FIFO or a device such as /dev/stdout cannot be
+    replaced and is written to."""
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "wb") as f:
             _write_parts(f, parts)
         return
     target = os.path.realpath(path)
-    tmp = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}.{os.getpid()}.tmp")
+    directory, name = os.path.split(target)
+    with contextlib.suppress(OSError):  # an unreadable directory only keeps its leftovers
+        remove_stale_temps(directory, glob.escape(name))
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
     try:
         mode = stat.S_IMODE(os.stat(target).st_mode)
     except OSError:
@@ -83,7 +89,7 @@ def write_atomic(path, parts) -> None:
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, target)
-        fd = os.open(os.path.dirname(target), os.O_RDONLY)
+        fd = os.open(directory, os.O_RDONLY)
         try:
             os.fsync(fd)
         finally:

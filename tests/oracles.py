@@ -8,8 +8,9 @@ fully exhaustive METEOR alignment search, LAMB one tensor at a time
 instead of over the flat arena, and attention and layer-norm gradients row
 by row through explicit Jacobians instead of the closed forms. Slow on
 purpose; inputs stay tiny. The sampler's two masks, the decode step that
-looks its parameters up by name, and the prep path's document-frequency
-counter and writer, token parser and seed counter are the versions the
+looks its parameters up by name, the prep path's document-frequency
+counter and writer, token parser and seed counter, and the label
+alignment that looks labels up per subword piece are the versions the
 library's own replaced, kept to hold those to the same bits.
 """
 
@@ -25,7 +26,7 @@ import numpy as np
 from condlm import autodiff as ad
 from condlm.model import causal_mask, positional_encoding
 from condlm.textio import write_atomic
-from condlm.tokenizer import _segment
+from condlm.tokenizer import END_ID, START_ID, _encode_word, _segment, _words
 
 
 def grams(tokens, n):
@@ -212,6 +213,21 @@ def o_parse_tokens(raw):
             raise ValueError("empty token surface")
         toks.append((surface.lower(), pos, dep, ent))
     return tuple(toks)
+
+
+def o_align_labels(record, tok, labels, temperature=None, rng=None):
+    """(ids, pos, dep, ent, sentence_starts), every label looked up per piece."""
+    ids, pos, dep, ent, starts = [START_ID], [0], [0], [0], []
+    for sent in record.sentences:
+        starts.append(len(ids))
+        for surface, p, d, e in sent:
+            for word in _words(surface):
+                for piece_id in _encode_word(tok, word, temperature, rng):
+                    ids.append(piece_id)
+                    pos.append(labels.pos.id(p))
+                    dep.append(labels.dep.id(d))
+                    ent.append(labels.ent.id(e))
+    return ids + [END_ID], pos + [0], dep + [0], ent + [0], starts
 
 
 # --- Unigram EM --------------------------------------------------------------

@@ -7,10 +7,10 @@ import pytest
 from condlm import corpus as cp
 from condlm.errors import DataError
 from condlm.tokenizer import END_ID, START_ID, TokenizerModel
-from condlm.vocab import build_condition_vocab, build_label_vocabs
+from condlm.vocab import LabelVocabs, build_condition_vocab, build_label_vocabs
 
 from conftest import write_jsonl
-from oracles import o_parse_tokens
+from oracles import o_align_labels, o_parse_tokens
 
 
 def doc(rid="d0", year=2000, keywords=(), title="the assay", sentences=("the assay runs",)):
@@ -149,6 +149,35 @@ def test_align_labels_inherits_word_labels():
     # specials carry the no-label id
     assert stream.pos[0] == 0 and stream.pos[-1] == 0
     assert len(stream.ids) == len(stream.pos) == len(stream.dep) == len(stream.ent)
+
+
+class CountingLabelVocab:
+    """A label vocabulary that counts its lookups."""
+
+    def __init__(self, vocab):
+        self.vocab, self.lookups = vocab, 0
+
+    def id(self, label):
+        self.lookups += 1
+        return self.vocab.id(label)
+
+
+@pytest.mark.parametrize("temperature", [None, 1.0], ids=["viterbi", "sampled"])
+def test_align_labels_looks_each_token_up_once_and_matches_the_per_piece_oracle(
+        temperature, toy_records, toy_tok, toy_labels):
+    # a surface of two words and an unseen label ride along with the toy corpus
+    extra = cp.AnnotatedRecord("x", 2001, (), (), ((
+        cp.AnnotatedToken("nano probe", "NOUN", "dobj", "UNSEEN"),
+        cp.AnnotatedToken("binds", "VERB", "root", "<none>")),))
+    for rec in [*toy_records, extra]:
+        want = o_align_labels(rec, toy_tok, toy_labels, temperature, np.random.default_rng(5))
+        counting = LabelVocabs(*map(CountingLabelVocab,
+                                    (toy_labels.pos, toy_labels.dep, toy_labels.ent)))
+        stream = cp.align_labels(rec, toy_tok, counting, temperature, np.random.default_rng(5))
+        got = (stream.ids, stream.pos, stream.dep, stream.ent, stream.sentence_starts)
+        assert got == want
+        tokens = sum(len(sent) for sent in rec.sentences)
+        assert [v.lookups for v in (counting.pos, counting.dep, counting.ent)] == [tokens] * 3
 
 
 def test_window_targets_are_shifted_inputs():

@@ -466,3 +466,58 @@ def test_save_report_is_stable_json(tmp_path, small_df):
     mt.save_report(report, p1)
     mt.save_report(json.loads(p1.read_text()), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# --- evaluate against the public per-metric functions --------------------------------
+
+words = st.lists(st.sampled_from(["a", "b", "c", "d"]), min_size=1, max_size=7)
+word_rows = st.lists(st.tuples(st.lists(words, min_size=1, max_size=3),   # generated sentences
+                               st.lists(words, min_size=1, max_size=3),   # reference sentences
+                               st.integers(0, 6), st.integers(1, 4)),     # title start, length
+                     min_size=1, max_size=3)
+
+
+@pytest.mark.parametrize("shared_title", [True, False], ids=["shared-title", "disjoint-title"])
+@settings(max_examples=60, deadline=None)
+@given(rows=word_rows, df_docs=st.lists(words, min_size=1, max_size=4))
+def test_evaluate_equals_the_public_functions_exactly(shared_title, rows, df_docs):
+    # A shared title is cut from the row's first generated sentence, so its
+    # n-grams occur in the candidates; a disjoint one has words no sentence has.
+    df = mt.build_df(df_docs + [s for _, refs, _, _ in rows for s in refs])
+    gens, references = [], {}
+    for i, (cands, refs, start, length) in enumerate(rows):
+        first = cands[0]
+        title = (first[start % len(first):][:length] if shared_title
+                 else ["x", "y", "z", "w"][:length])
+        gens.append({"id": f"r{i}", "title": " ".join(title),
+                     "sentences": [" ".join(c) for c in cands]})
+        references[f"r{i}"] = [" ".join(r) for r in refs]
+    report = mt.evaluate(gens, references, df)
+    fresh = mt.DfCorpus(df.doc_count, df.df)  # no IDF looked up yet
+    want = {name: [] for name in mt.METRIC_RANGES}
+    for row in gens:
+        refs = [mt.tokenize(r) for r in references[row["id"]]]
+        title = mt.tokenize(row["title"])
+        for sentence in row["sentences"]:
+            c = mt.tokenize(sentence)
+            want["bleu_1"].append(mt.bleu(c, refs, max_order=1))
+            want["bleu_sum"].append(mt.bleu(c, refs))
+            want["bleu_geometric"].append(mt.bleu_geometric(c, refs))
+            want["rouge_l"].append(mt.rouge_l(c, refs))
+            want["meteor"].append(mt.meteor(c, refs))
+            want["cider"].append(mt.cider(c, refs, fresh))
+            want["cider_title"].append(mt.cider_title(c, refs, fresh, title))
+    for name, values in want.items():
+        assert report["metrics"][name]["per_sentence"] == values, name
+
+
+def test_df_after_idf_lookups_still_round_trips(tmp_path):
+    df = mt.build_df([T("a b a c"), T("b c b"), T("c a a b c")])
+    path = tmp_path / "df.tsv"
+    mt.save_df(df, path)
+    before, shown = path.read_bytes(), repr(df)
+    for gram in [("a",), ("a", "b"), ("z",), ("c", "a", "a", "b"), ("a",)]:
+        assert df.idf(gram) == math.log(df.doc_count / df.frequency(gram))
+    assert df == mt.load_df(path) and repr(df) == shown
+    mt.save_df(df, path)
+    assert path.read_bytes() == before

@@ -145,3 +145,36 @@ def test_remove_stale_temps_takes_only_matching_temps_of_exited_processes(tmp_pa
     assert remove_stale_temps(tmp_path, "ckpt-*") == [os.path.join(tmp_path, names[0])]
     assert sorted(os.listdir(tmp_path)) == sorted(names[1:])
     assert remove_stale_temps(tmp_path / "missing", "ckpt-*") == []
+
+
+def exited_pid() -> int:
+    """The id of a process that has run and been reaped."""
+    child = subprocess.Popen([sys.executable, "-c", ""])
+    child.wait()
+    return child.pid
+
+
+@pytest.mark.parametrize("name", ["final.bin", "df.tsv"])
+def test_write_atomic_removes_its_targets_temps_of_exited_processes(tmp_path, name):
+    # a kill between the open and the rename leaves the temp file behind
+    writer = subprocess.Popen([sys.executable, "-c", "import sys; sys.stdin.read()"],
+                              stdin=subprocess.PIPE)
+    try:
+        stale = tmp_path / f".{name}.{exited_pid()}.tmp"
+        live = tmp_path / f".{name}.{writer.pid}.tmp"        # its writer still runs
+        mine = tmp_path / f".other.tsv.{os.getpid()}.tmp"    # the test process's, another target
+        other = tmp_path / f".ckpt-1.bin.{exited_pid()}.tmp"  # another target's
+        for path in (stale, live, mine, other):
+            path.write_bytes(b"part of an artifact")
+        write_atomic(tmp_path / name, ["row\n"])
+    finally:
+        writer.communicate(b"")
+    assert sorted(os.listdir(tmp_path)) == sorted([name, live.name, mine.name, other.name])
+    assert (tmp_path / name).read_text() == "row\n"
+
+
+def test_write_atomic_takes_a_glob_character_in_its_target_literally(tmp_path):
+    stale = tmp_path / f".ckpt-1.bin.{exited_pid()}.tmp"
+    stale.write_bytes(b"part of a checkpoint")
+    write_atomic(tmp_path / "ckpt-[1].bin", ["row\n"])
+    assert sorted(os.listdir(tmp_path)) == sorted(["ckpt-[1].bin", stale.name])
