@@ -24,10 +24,10 @@ lengths, CIDEr vectors and norms with and without the title's n-grams) and
 scores every sentence of the row against them, with the same arithmetic as
 the public per-metric functions. Every sentence, candidate or reference,
 has its orders 1..4 counted once (``_counts``), and BLEU's precisions and
-clips and CIDEr's TF-IDF vectors all read those counts. A ``DfCorpus``
-keeps each gram's IDF once it has been looked up, so repeated calls on one
-corpus compute each logarithm once. A vector that holds no title n-gram is
-its own title vector, norm included.
+clips and CIDEr's TF-IDF vectors all read those counts. One ``evaluate``
+call computes each gram's IDF once, in a table it hands to every TF-IDF
+vector it builds and drops when it returns. A vector that holds no title
+n-gram is its own title vector, norm included.
 """
 
 from __future__ import annotations
@@ -65,14 +65,24 @@ def ngrams(tokens: Sequence[str], n: int) -> list[tuple[str, ...]]:
 # BLEU
 
 
-def _counts(tokens: Sequence[str], max_order: int = MAX_ORDER) -> list[Counter]:
-    """Per order 1..max_order, the sentence's n-gram counts, zipped from its
-    shifted token lists and counted in C. Grams iterate in the order of
-    their first occurrence, as a ``Counter`` of ``ngrams`` would."""
-    return [Counter(zip(*[tokens[i:] for i in range(n)])) for n in range(1, max_order + 1)]
+def _tally(items: Iterable) -> dict:
+    """How often each item occurs, in the order of first occurrence, as a
+    ``Counter`` would count them. A ``Counter``'s own set-up costs more than
+    counting the few words or n-grams of a sentence."""
+    counts: dict = {}
+    for item in items:
+        counts[item] = counts.get(item, 0) + 1
+    return counts
 
 
-def _bleu_clips(ref_counts: Sequence[Sequence[Counter]]) -> list[dict]:
+def _counts(tokens: Sequence[str], max_order: int = MAX_ORDER) -> list[dict]:
+    """Per order 1..max_order, the sentence's n-gram counts, its n-grams
+    zipped from its shifted token lists."""
+    shifted = [tokens[i:] for i in range(max_order)]
+    return [_tally(zip(*shifted[:n])) for n in range(1, max_order + 1)]
+
+
+def _bleu_clips(ref_counts: Sequence[Sequence[dict]]) -> list[dict]:
     """Per order, the union (elementwise max) of the references' n-gram
     counts: a candidate count is clipped by its most frequent reference
     occurrence."""
@@ -85,7 +95,7 @@ def _bleu_clips(ref_counts: Sequence[Sequence[Counter]]) -> list[dict]:
     return clips
 
 
-def _bleu_precisions(counts: Sequence[Counter], clips: Sequence[dict]) -> list[float]:
+def _bleu_precisions(counts: Sequence[dict], clips: Sequence[dict]) -> list[float]:
     """Clipped n-gram precision for orders 1..len(clips)."""
     out = []
     for grams, best in zip(counts, clips):
@@ -111,11 +121,6 @@ def _bleu_geometric(bp: float, precisions: Sequence[float]) -> float:
     return bp * math.exp(mean_log)
 
 
-def _bleu_counts(candidate: Sequence[str], references: Sequence[Sequence[str]],
-                 max_order: int) -> tuple[list[Counter], list[dict]]:
-    return _counts(candidate, max_order), _bleu_clips([_counts(r, max_order) for r in references])
-
-
 def bleu(candidate: Sequence[str], references: Sequence[Sequence[str]],
          max_order: int = MAX_ORDER) -> float:
     """Sum over orders 1..max_order of (brevity penalty x clipped n-gram
@@ -123,7 +128,8 @@ def bleu(candidate: Sequence[str], references: Sequence[Sequence[str]],
     if not references:
         raise ValueError("bleu needs at least one reference")
     bp = _brevity_penalty(candidate, [len(r) for r in references])
-    return sum(bp * p for p in _bleu_precisions(*_bleu_counts(candidate, references, max_order)))
+    clips = _bleu_clips([_counts(r, max_order) for r in references])
+    return sum(bp * p for p in _bleu_precisions(_counts(candidate, max_order), clips))
 
 
 def bleu_geometric(candidate: Sequence[str], references: Sequence[Sequence[str]],
@@ -132,8 +138,9 @@ def bleu_geometric(candidate: Sequence[str], references: Sequence[Sequence[str]]
     order precisions (zero if any order has no match)."""
     if not references:
         raise ValueError("bleu needs at least one reference")
+    clips = _bleu_clips([_counts(r, max_order) for r in references])
     return _bleu_geometric(_brevity_penalty(candidate, [len(r) for r in references]),
-                           _bleu_precisions(*_bleu_counts(candidate, references, max_order)))
+                           _bleu_precisions(_counts(candidate, max_order), clips))
 
 
 # ---------------------------------------------------------------------------
@@ -351,10 +358,10 @@ def meteor(candidate: Sequence[str], references: Sequence[Sequence[str]]) -> flo
     the best score so far: a score never exceeds its Fmean."""
     if not references:
         raise ValueError("meteor needs at least one reference")
-    cand_counts = Counter(candidate)
+    cand_counts = _tally(candidate)
     ranked = []
     for ref in references:
-        ref_counts = Counter(ref)
+        ref_counts = _tally(ref)
         quota = {w: min(c, ref_counts[w]) for w, c in cand_counts.items() if w in ref_counts}
         matches = sum(quota.values())
         if matches == 0:
@@ -386,20 +393,13 @@ class DfCorpus:
 
     doc_count: int
     df: dict[int, dict[tuple[str, ...], int]] = field(default_factory=dict)
-    # The IDF of every gram looked up so far, which equality, the repr and
-    # the saved form ignore. A corpus is not changed once an IDF is read.
-    _idf: dict[tuple[str, ...], float] = field(default_factory=dict, init=False,
-                                               compare=False, repr=False)
 
     def frequency(self, gram: tuple[str, ...]) -> int:
         # Unseen n-grams count as appearing in one document.
         return max(1, self.df.get(len(gram), {}).get(gram, 0))
 
     def idf(self, gram: tuple[str, ...]) -> float:
-        value = self._idf.get(gram)
-        if value is None:
-            value = self._idf[gram] = math.log(self.doc_count / self.frequency(gram))
-        return value
+        return math.log(self.doc_count / self.frequency(gram))
 
 
 def build_df(token_docs: Iterable[Sequence[str]], max_order: int = MAX_ORDER) -> DfCorpus:
@@ -481,15 +481,18 @@ def _with_norm(vec: dict) -> tuple[dict, float]:
     return vec, math.sqrt(sum(w * w for w in vec.values()))
 
 
-def _tfidf_vectors(counts: Sequence[Counter], df: DfCorpus) -> _Vectors:
+def _tfidf_vectors(counts: Sequence[dict], df: DfCorpus, idf: dict) -> _Vectors:
     # Raw count x IDF. The usual normalization by total n-gram count cancels
-    # in the cosine, so it is omitted.
-    idf = df.idf
+    # in the cosine, so it is omitted. ``idf`` holds the IDFs already
+    # computed for the caller and takes the ones computed here.
     out = []
     for grams in counts:
         vec: dict[tuple[str, ...], float] = {}
         for gram, count in grams.items():
-            weight = count * idf(gram)
+            w = idf.get(gram)
+            if w is None:
+                w = idf[gram] = df.idf(gram)
+            weight = count * w
             if weight != 0.0:
                 vec[gram] = weight
         out.append(_with_norm(vec))
@@ -497,7 +500,8 @@ def _tfidf_vectors(counts: Sequence[Counter], df: DfCorpus) -> _Vectors:
 
 
 def _title_grams(title_tokens: Sequence[str]) -> list[set]:
-    return [set(grams) for grams in _counts(title_tokens)]
+    shifted = [title_tokens[i:] for i in range(MAX_ORDER)]
+    return [set(zip(*shifted[:n])) for n in range(1, MAX_ORDER + 1)]
 
 
 def _drop_title(vectors: _Vectors, title_grams: Sequence[set]) -> _Vectors:
@@ -530,8 +534,9 @@ def cider(candidate: Sequence[str], references: Sequence[Sequence[str]],
     """Mean TF-IDF cosine per order, summed and scaled to [0, 10]."""
     if not references:
         raise ValueError("cider needs at least one reference")
-    return _cider_core(_tfidf_vectors(_counts(candidate), df),
-                       [_tfidf_vectors(_counts(r), df) for r in references])
+    idf: dict = {}
+    return _cider_core(_tfidf_vectors(_counts(candidate), df, idf),
+                       [_tfidf_vectors(_counts(r), df, idf) for r in references])
 
 
 def cider_title(candidate: Sequence[str], references: Sequence[Sequence[str]],
@@ -541,9 +546,9 @@ def cider_title(candidate: Sequence[str], references: Sequence[Sequence[str]],
     nothing."""
     if not references:
         raise ValueError("cider_title needs at least one reference")
-    drop = _title_grams(title_tokens)
-    return _cider_core(_drop_title(_tfidf_vectors(_counts(candidate), df), drop),
-                       [_drop_title(_tfidf_vectors(_counts(r), df), drop) for r in references])
+    drop, idf = _title_grams(title_tokens), {}
+    return _cider_core(_drop_title(_tfidf_vectors(_counts(candidate), df, idf), drop),
+                       [_drop_title(_tfidf_vectors(_counts(r), df, idf), drop) for r in references])
 
 
 # ---------------------------------------------------------------------------
@@ -616,19 +621,19 @@ class _RowReferences:
 
     @classmethod
     def build(cls, ref_tokens: list[list[str]], title_tokens: Sequence[str],
-              df: DfCorpus) -> "_RowReferences":
+              df: DfCorpus, idf: dict) -> "_RowReferences":
         title_grams = _title_grams(title_tokens)
         counts = [_counts(r) for r in ref_tokens]
-        vectors = [_tfidf_vectors(c, df) for c in counts]
+        vectors = [_tfidf_vectors(c, df, idf) for c in counts]
         return cls(ref_tokens, [len(r) for r in ref_tokens], _bleu_clips(counts),
                    title_grams, vectors, [_drop_title(v, title_grams) for v in vectors])
 
 
-def _score_sentence(cand_tokens, refs: _RowReferences, df) -> dict[str, float]:
+def _score_sentence(cand_tokens, refs: _RowReferences, df, idf: dict) -> dict[str, float]:
     counts = _counts(cand_tokens)
     precisions = _bleu_precisions(counts, refs.clips)
     bp = _brevity_penalty(cand_tokens, refs.lengths)
-    vectors = _tfidf_vectors(counts, df)
+    vectors = _tfidf_vectors(counts, df, idf)
     return {
         "bleu_1": bp * precisions[0],
         "bleu_sum": sum(bp * p for p in precisions),
@@ -640,30 +645,33 @@ def _score_sentence(cand_tokens, refs: _RowReferences, df) -> dict[str, float]:
     }
 
 
-def _score_generation(row: Mapping, ref_sentences: list[str], df: DfCorpus) -> list[dict[str, float]]:
+def _score_generation(row: Mapping, ref_sentences: list[str], df: DfCorpus,
+                      idf: dict) -> list[dict[str, float]]:
     ref_tokens = [t for t in map(tokenize, ref_sentences) if t]
     if not ref_tokens:
         return []
-    refs = _RowReferences.build(ref_tokens, tokenize(row.get("title", "")), df)
+    refs = _RowReferences.build(ref_tokens, tokenize(row.get("title", "")), df, idf)
     scores = []
     for sentence in row.get("sentences", []):
         cand = tokenize(sentence)
         if not cand:
             continue
-        scores.append(_score_sentence(cand, refs, df))
+        scores.append(_score_sentence(cand, refs, df, idf))
     return scores
 
 
-_WORKER_DF: DfCorpus | None = None  # set in ``evaluate``'s pool workers only
+# The df and an IDF table, set in ``evaluate``'s pool workers only; the table
+# goes with the pool when the call returns.
+_WORKER_ARGS: tuple[DfCorpus, dict] | None = None
 
 
 def _init_worker(df: DfCorpus) -> None:
-    global _WORKER_DF
-    _WORKER_DF = df
+    global _WORKER_ARGS
+    _WORKER_ARGS = df, {}
 
 
 def _score_in_worker(row: Mapping, ref_sentences: list[str]) -> list[dict[str, float]]:
-    return _score_generation(row, ref_sentences, _WORKER_DF)
+    return _score_generation(row, ref_sentences, *_WORKER_ARGS)
 
 
 def evaluate(generations: Iterable[Mapping], references: Mapping[str, list[str]],
@@ -684,7 +692,8 @@ def evaluate(generations: Iterable[Mapping], references: Mapping[str, list[str]]
                 workers, initializer=_init_worker, initargs=(df,)) as pool:
             per_row = pool.starmap(_score_in_worker, jobs)
     else:
-        per_row = [_score_generation(row, refs, df) for row, refs in jobs]
+        idf: dict = {}  # each gram's IDF, computed once in this call
+        per_row = [_score_generation(row, refs, df, idf) for row, refs in jobs]
 
     per_metric: dict[str, list[float]] = {name: [] for name in METRIC_RANGES}
     n_sentences = 0

@@ -493,7 +493,6 @@ def test_evaluate_equals_the_public_functions_exactly(shared_title, rows, df_doc
                      "sentences": [" ".join(c) for c in cands]})
         references[f"r{i}"] = [" ".join(r) for r in refs]
     report = mt.evaluate(gens, references, df)
-    fresh = mt.DfCorpus(df.doc_count, df.df)  # no IDF looked up yet
     want = {name: [] for name in mt.METRIC_RANGES}
     for row in gens:
         refs = [mt.tokenize(r) for r in references[row["id"]]]
@@ -505,19 +504,21 @@ def test_evaluate_equals_the_public_functions_exactly(shared_title, rows, df_doc
             want["bleu_geometric"].append(mt.bleu_geometric(c, refs))
             want["rouge_l"].append(mt.rouge_l(c, refs))
             want["meteor"].append(mt.meteor(c, refs))
-            want["cider"].append(mt.cider(c, refs, fresh))
-            want["cider_title"].append(mt.cider_title(c, refs, fresh, title))
+            want["cider"].append(mt.cider(c, refs, df))
+            want["cider_title"].append(mt.cider_title(c, refs, df, title))
     for name, values in want.items():
         assert report["metrics"][name]["per_sentence"] == values, name
 
 
-def test_df_after_idf_lookups_still_round_trips(tmp_path):
+def test_df_after_idf_lookups_and_evaluate_still_round_trips(tmp_path):
     df = mt.build_df([T("a b a c"), T("b c b"), T("c a a b c")])
     path = tmp_path / "df.tsv"
     mt.save_df(df, path)
     before, shown = path.read_bytes(), repr(df)
     for gram in [("a",), ("a", "b"), ("z",), ("c", "a", "a", "b"), ("a",)]:
         assert df.idf(gram) == math.log(df.doc_count / df.frequency(gram))
+    mt.evaluate([{"id": "d", "title": "a b", "sentences": ["a b c z", "c a"]}],
+                {"d": ["a b a c", "b z b"]}, df)
     assert df == mt.load_df(path) and repr(df) == shown
     mt.save_df(df, path)
     assert path.read_bytes() == before
