@@ -68,7 +68,8 @@ def ngrams(tokens: Sequence[str], n: int) -> list[tuple[str, ...]]:
 def _tally(items: Iterable) -> dict:
     """How often each item occurs, in the order of first occurrence, as a
     ``Counter`` would count them. A ``Counter``'s own set-up costs more than
-    counting the few words or n-grams of a sentence."""
+    counting the few words or n-grams of a sentence, and its ``|`` and ``&``
+    cost more than the plain loops BLEU's clips and precisions use."""
     counts: dict = {}
     for item in items:
         counts[item] = counts.get(item, 0) + 1
